@@ -6,12 +6,7 @@ through four measurement passes:
 
 * **kernel-only**: a synthetic event storm through the calendar-queue
   ``Scheduler`` with no simulation payload, isolating raw event-kernel
-  throughput (``kernel_events_per_sec``).  The same storm also runs
-  through the object/tuple ``LegacyScheduler``
-  (``legacy_kernel_events_per_sec``), so the flat kernel's win — and
-  any regression of it — is visible in the JSON trajectory
-  (``flat_kernel_events_per_sec`` is the gated alias of the flat
-  number);
+  throughput (``kernel_events_per_sec``);
 * **serial** (``jobs=1``): the reference pass — ``events_per_sec`` and
   the regression baseline come from here;
 * **parallel** (``jobs=N``): same specs through the persistent worker
@@ -46,17 +41,7 @@ through four measurement passes:
   bit-identical (``spans_identical``) and the wall-clock delta is
   recorded as ``span_overhead_pct`` (gated at ≤3% in
   ``check_perf_regression.py``; forensic reruns use stride 1 and pay
-  more, which is fine — they only happen on a violation);
-* **hops** (``REPRO_HOPS=1``): same specs with the express message
-  plane degraded to hop-by-hop relay events.  The architectural
-  payload must match the express-mode serial pass with only
-  ``events_processed`` allowed to differ (``express_hops_identical``);
-  the event delta is the relay traffic the express plane elides
-  (``hop_events_elided``).  As with the wakeup plane, express removes
-  events rather than speeding them up, so the gated basis is
-  ``express_equivalent_events_per_sec`` — the hops pass's event count
-  over the express pass's wall clock — compared against the hops
-  pass's own ``hops_events_per_sec``.
+  more, which is fine — they only happen on a violation).
 
 Timing methodology: one untimed warmup sweep runs first, then the
 serial, eager and observed passes run *interleaved* — each of four
@@ -114,7 +99,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.common.events import LegacyScheduler, Scheduler  # noqa: E402
+from repro.common.events import Scheduler  # noqa: E402
 from repro.config import SystemConfig  # noqa: E402
 from repro.interconnect import message as message_pool  # noqa: E402
 from repro.parallel import (  # noqa: E402
@@ -145,7 +130,7 @@ def workload_mix(ops: int, seeds: int) -> List[RunSpec]:
     ]
 
 
-def bench_kernel(events: int = 200_000, scheduler_factory=Scheduler) -> float:
+def bench_kernel(events: int = 200_000) -> float:
     """Raw calendar-queue throughput: schedule/execute ``events`` events.
 
     The callback reschedules itself at small pseudo-random strides (the
@@ -155,12 +140,8 @@ def bench_kernel(events: int = 200_000, scheduler_factory=Scheduler) -> float:
     chains reschedule through :meth:`Scheduler.post` — the no-handle
     fast path every hot component uses — so the ceiling tracks the
     production scheduling path, not the handle-returning API.
-
-    ``scheduler_factory`` lets the same storm run on either kernel:
-    the flat :class:`Scheduler` (default) or the object/tuple
-    :class:`LegacyScheduler` reference.
     """
-    sched = scheduler_factory()
+    sched = Scheduler()
     state = {"left": events, "x": 12345}
 
     def tick() -> None:
@@ -241,9 +222,6 @@ def main(argv=None) -> int:
     )
 
     kernel_events_per_sec = max(bench_kernel() for _ in range(2))
-    legacy_kernel_events_per_sec = max(
-        bench_kernel(scheduler_factory=LegacyScheduler) for _ in range(2)
-    )
 
     # One untimed warmup pass: imports, code objects, memo tables and
     # branch caches all settle before any timed pass, so the serial and
@@ -290,7 +268,6 @@ def main(argv=None) -> int:
         ("obs", {"REPRO_OBS": "1"}),
         ("spans", {"REPRO_OBS_SPANS": "1"}),
         ("poll", {"REPRO_POLL": "1"}),
-        ("hops", {"REPRO_HOPS": "1"}),
     ]
     results: dict = {}
     rep_times: dict = {name: [] for name, _ in modes}
@@ -301,11 +278,11 @@ def main(argv=None) -> int:
             results[name], s = timed_sweep(env)
             rep_times[name].append(s)
     serial, eager, observed = results["serial"], results["eager"], results["obs"]
-    spans, poll, hops = results["spans"], results["poll"], results["hops"]
+    spans, poll = results["spans"], results["poll"]
     serial_reps = rep_times["serial"]
     serial_s, eager_s = min(serial_reps), min(rep_times["eager"])
     obs_s, spans_s = min(rep_times["obs"]), min(rep_times["spans"])
-    poll_s, hops_s = min(rep_times["poll"]), min(rep_times["hops"])
+    poll_s = min(rep_times["poll"])
 
     def overhead_pct(mode_reps: List[float]) -> float:
         """Median of per-rep overhead ratios vs the serial sweep.
@@ -386,14 +363,6 @@ def main(argv=None) -> int:
         poll_events / serial_s if serial_s else 0.0
     )
 
-    # Express-vs-hops identity: same reservation timetable, fewer
-    # events.  Same contract (and same gating shape) as wakeup/poll.
-    express_hops_identical = arch(serial) == arch(hops)
-    hops_events = sum(m.events_processed for m in hops)
-    hops_events_per_sec = hops_events / hops_s if hops_s else 0.0
-    express_equivalent_events_per_sec = (
-        hops_events / serial_s if serial_s else 0.0
-    )
     if not identical:
         rows = zip(serial, parallel, cached, eager, observed)
         for i, (a, b, c, e, o) in enumerate(rows):
@@ -459,10 +428,6 @@ def main(argv=None) -> int:
         "jobs": jobs,
         "events_per_sec": round(events_per_sec, 1),
         "kernel_events_per_sec": round(kernel_events_per_sec, 1),
-        "flat_kernel_events_per_sec": round(kernel_events_per_sec, 1),
-        "legacy_kernel_events_per_sec": round(
-            legacy_kernel_events_per_sec, 1
-        ),
         "eager_events_per_sec": round(eager_events_per_sec, 1),
         "poll_events_per_sec": round(poll_events_per_sec, 1),
         "poll_equivalent_events_per_sec": round(
@@ -470,13 +435,6 @@ def main(argv=None) -> int:
         ),
         "spin_events_elided": poll_events - events,
         "wakeup_poll_identical": wakeup_poll_identical,
-        "hops_s": round(hops_s, 4),
-        "hops_events_per_sec": round(hops_events_per_sec, 1),
-        "express_equivalent_events_per_sec": round(
-            express_equivalent_events_per_sec, 1
-        ),
-        "hop_events_elided": hops_events - events,
-        "express_hops_identical": express_hops_identical,
         "messages_allocated": messages_allocated,
         "msg_pool_reuse_pct": round(msg_pool_reuse_pct, 1),
         "speedup": None if speedup is None else round(speedup, 3),
@@ -501,15 +459,8 @@ def main(argv=None) -> int:
     speed_txt = (
         f"speedup {speedup:.2f}x" if speedup is not None else speedup_note
     )
-    kernel_ratio = (
-        kernel_events_per_sec / legacy_kernel_events_per_sec
-        if legacy_kernel_events_per_sec
-        else 0.0
-    )
     print(
-        f"kernel   {kernel_events_per_sec:12,.0f} events/sec "
-        f"(flat; legacy {legacy_kernel_events_per_sec:,.0f}, "
-        f"{kernel_ratio:.2f}x)\n"
+        f"kernel   {kernel_events_per_sec:12,.0f} events/sec\n"
         f"serial   {serial_s:8.2f} s   ({events_per_sec:,.0f} events/sec, "
         f"{coalesced} coalesced deliveries)\n"
         f"parallel {parallel_s:8.2f} s   (jobs={jobs}, {speed_txt})\n"
@@ -527,12 +478,6 @@ def main(argv=None) -> int:
         f"          poll-equivalent {poll_equivalent_events_per_sec:,.0f} "
         f"events/sec vs poll {poll_events_per_sec:,.0f}, "
         f"arch-identical: {wakeup_poll_identical})\n"
-        f"hops     {hops_s:8.2f} s   (REPRO_HOPS=1, "
-        f"{hops_events:,} events, {hops_events - events:,} hop events "
-        f"elided by express;\n"
-        f"          express-equivalent {express_equivalent_events_per_sec:,.0f} "
-        f"events/sec vs hops {hops_events_per_sec:,.0f}, "
-        f"arch-identical: {express_hops_identical})\n"
         f"msgpool  {messages_allocated:,} records allocated, "
         f"{msg_pool_reuse_pct:.1f}% of sends reused a pooled record\n"
         f"alloc    {alloc_blocks:,} blocks retained "
@@ -547,7 +492,6 @@ def main(argv=None) -> int:
         if identical
         and spans_identical
         and wakeup_poll_identical
-        and express_hops_identical
         and cache_hits == len(specs)
         else 1
     )

@@ -22,15 +22,10 @@ import sys
 HIGHER_IS_BETTER = {
     "events_per_sec",
     "kernel_events_per_sec",
-    "flat_kernel_events_per_sec",
-    "legacy_kernel_events_per_sec",
     "eager_events_per_sec",
     "poll_events_per_sec",
     "poll_equivalent_events_per_sec",
     "spin_events_elided",
-    "hops_events_per_sec",
-    "express_equivalent_events_per_sec",
-    "hop_events_elided",
     "msg_pool_reuse_pct",
     "speedup",
     "cache_hits",
@@ -78,21 +73,6 @@ def render(baseline: dict, candidate: dict) -> str:
             f"| {_delta(base, cand, key)} |"
         )
     lines.append("")
-    express = candidate.get("express_equivalent_events_per_sec")
-    hops = candidate.get("hops_events_per_sec")
-    if (
-        isinstance(express, (int, float))
-        and isinstance(hops, (int, float))
-        and hops
-    ):
-        # Both rates use the hops pass's event count, so the ratio is a
-        # pure wall-clock comparison of the two message planes.
-        lines.append(
-            f"**Express vs hop-by-hop**: {express / hops:.3f}× "
-            f"({_fmt(express)} vs {_fmt(hops)} ev/s on the per-hop "
-            "event basis)"
-        )
-        lines.append("")
     return "\n".join(lines)
 
 

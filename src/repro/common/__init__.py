@@ -10,7 +10,7 @@ from .errors import (
     SimulationError,
     TraceFormatError,
 )
-from .events import Event, LegacyScheduler, Scheduler, make_scheduler
+from .events import Event, Scheduler
 from .logical_time import (
     TIMESTAMP_BITS,
     TIMESTAMP_MASK,
@@ -49,7 +49,6 @@ __all__ = [
     "EpochType",
     "Event",
     "Histogram",
-    "LegacyScheduler",
     "LogicalTimeBase",
     "MembarMask",
     "OpType",
@@ -70,7 +69,6 @@ __all__ = [
     "crc16_words",
     "hash_block",
     "is_word_aligned",
-    "make_scheduler",
     "mean_stddev",
     "truncate",
     "word_index",

@@ -14,30 +14,15 @@ append, and draining a cycle is a linear walk of its bucket, replacing
 the old heap's O(log n) push/pop and its per-event tuple allocation.
 The window is never wider than the ring, so a bucket only ever holds
 one cycle's events, appended in schedule order; execution therefore
-preserves the exact ``(time, seq)`` order of the heap-based kernel and
-serial results stay bit-identical.
-
-Two kernels share this contract:
-
-* :class:`Scheduler` — the **flat kernel** (default).  Hot-path records
-  are stored *flat* inside the bucket list itself (two adjacent slots:
-  callback, args) so a ``post`` allocates nothing, and a min-heap of
-  occupied bucket times lets the drain cursor jump quiescent cycle
-  spans in O(log b) instead of walking empty buckets one by one.
-* :class:`LegacyScheduler` — the previous object/tuple kernel, kept
-  verbatim as the ``REPRO_FLAT_KERNEL=0`` escape hatch and as the
-  reference implementation for equivalence tests.
-
-:func:`make_scheduler` picks between them from the environment; both
-are asserted bit-identical across the full workload × protocol matrix
-in ``tests/integration/test_flat_kernel_identity.py``.
+preserves the exact ``(time, seq)`` order of a plain binary heap, which
+``tests/common/test_events_equivalence.py`` checks against an in-test
+heap reference on randomized programs.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -49,7 +34,7 @@ from .errors import SimulationError
 #: window advances past them.
 RING_SIZE = 2048
 
-#: Batch-advance threshold K (flat kernel): a post due within K cycles
+#: Batch-advance threshold K: a post due within K cycles
 #: is *dense* and costs nothing extra to schedule — the drain cursor
 #: finds it with a short bucket walk.  A post due further out is
 #: *sparse* and registers its bucket time in a small min-heap, so a
@@ -101,15 +86,11 @@ class Event:
         if sched is not None:
             sched._cancelled += 1
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Scheduler:
     """Deterministic discrete-event scheduler keyed by cycle count.
 
-    This is the **flat kernel**.  See the module docstring for the
-    calendar-queue layout.  Representation:
+    See the module docstring for the calendar-queue layout.  Representation:
 
     * a bucket is a flat list mixing two record shapes — a hot
       ``post``/``post_at`` record occupies two adjacent slots
@@ -680,300 +661,3 @@ class Scheduler:
         finally:
             self._events_processed += done
 
-
-class LegacyScheduler:
-    """The pre-flat object/tuple calendar-queue kernel.
-
-    Kept as the ``REPRO_FLAT_KERNEL=0`` escape hatch and as the
-    object-``Event`` reference implementation for equivalence tests:
-    hot ``post`` records are ``(callback, args)`` wrapper tuples, the
-    drain cursor walks empty buckets one cycle at a time, and all
-    counters are maintained per event.  Behaviour (event order, time
-    labels, ``pending()``, ``events_processed``) is bit-identical to
-    :class:`Scheduler`.
-    """
-
-    __slots__ = (
-        "_ring",
-        "_mask",
-        "_ring_size",
-        "_ring_count",
-        "_cancelled",
-        "_overflow",
-        "_window_end",
-        "_counter",
-        "now",
-        "_events_processed",
-        "_late",
-        "_late_count",
-        "_halted",
-        "_obs_on",
-        "_obs_buckets",
-        "_obs_bucket_events",
-        "_obs_bucket_max",
-        "_obs_migrations",
-        "_obs_window_jumps",
-    )
-
-    def __init__(self, ring_size: int = RING_SIZE) -> None:
-        if ring_size <= 0 or ring_size & (ring_size - 1):
-            raise SimulationError("ring_size must be a power of two")
-        self._ring: List[list] = [[] for _ in range(ring_size)]
-        self._mask = ring_size - 1
-        self._ring_size = ring_size
-        self._ring_count = 0
-        self._cancelled = 0
-        self._overflow: List[Tuple[int, int, Event]] = []
-        self._window_end = ring_size
-        self._counter = itertools.count()
-        self.now = 0
-        self._events_processed = 0
-        self._late: dict = {}
-        self._late_count = 0
-        self._halted = False
-        self._obs_on = False
-        self._obs_buckets = 0
-        self._obs_bucket_events = 0
-        self._obs_bucket_max = 0
-        self._obs_migrations = 0
-        self._obs_window_jumps = 0
-
-    events_processed = Scheduler.events_processed
-    attach_obs = Scheduler.attach_obs
-    obs_snapshot = Scheduler.obs_snapshot
-    pending = Scheduler.pending
-    halt = Scheduler.halt
-
-    def at(self, time: int, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute cycle ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at {time}, current time is {self.now}"
-            )
-        event = Event(time, next(self._counter), callback, args, self)
-        if time < self._window_end:
-            self._ring[time & self._mask].append(event)
-            self._ring_count += 1
-        else:
-            heapq.heappush(self._overflow, (time, event.seq, event))
-        return event
-
-    def after(self, delay: int, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.at(self.now + delay, callback, *args)
-
-    def post(self, delay: int, callback: Callable[..., Any], args: tuple = ()) -> None:
-        """No-handle fast path: in-window records are bare
-        ``(callback, args)`` tuples (no :class:`Event`, no sequence
-        number); out-of-window posts fall back to an overflow
-        :class:`Event`."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        time = self.now + delay
-        if time < self._window_end:
-            self._ring[time & self._mask].append((callback, args))
-            self._ring_count += 1
-        else:
-            event = Event(time, next(self._counter), callback, args, self)
-            heapq.heappush(self._overflow, (time, event.seq, event))
-
-    def post_at(self, time: int, callback: Callable[..., Any], args: tuple = ()) -> None:
-        """Absolute-time twin of :meth:`post` (past times rejected)."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at {time}, current time is {self.now}"
-            )
-        if time < self._window_end:
-            self._ring[time & self._mask].append((callback, args))
-            self._ring_count += 1
-        else:
-            event = Event(time, next(self._counter), callback, args, self)
-            heapq.heappush(self._overflow, (time, event.seq, event))
-
-    def post_late(self, delay: int, callback: Callable[..., Any], args: tuple = ()) -> None:
-        """Late-lane twin of :meth:`Scheduler.post_late` (records are
-        ``(callback, args)`` tuples, matching this kernel's bucket
-        shape; ordering contract identical)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        time = self.now + delay
-        lane = self._late.get(time)
-        if lane is None:
-            self._late[time] = lane = []
-            self.post_at(time, _noop)
-        lane.append((callback, args))
-        self._late_count += 1
-
-    def _splice_late(self, t: int, bucket: list) -> bool:
-        """Move cycle ``t``'s late lane into its exhausted bucket."""
-        if not self._late:
-            return False
-        lane = self._late.pop(t, None)
-        if lane is None:
-            return False
-        bucket.extend(lane)
-        moved = len(lane)  # one tuple per record
-        self._late_count -= moved
-        self._ring_count += moved
-        return True
-
-    def _locate(
-        self, limit: Optional[int] = None
-    ) -> Optional[Tuple[int, Optional[list]]]:
-        """Cursor to the next non-empty bucket, walking the ring one
-        cycle at a time (see :meth:`Scheduler._locate` for contract)."""
-        ring = self._ring
-        mask = self._mask
-        overflow = self._overflow
-        while True:
-            if self._ring_count:
-                t = self.now
-                start = self._window_end - self._ring_size
-                if start > t:
-                    t = start
-                bucket = ring[t & mask]
-                while not bucket:
-                    t += 1
-                    bucket = ring[t & mask]
-                return t, bucket
-            if not overflow:
-                self._window_end = self.now + self._ring_size
-                return None
-            first = overflow[0][0]
-            if limit is not None and first > limit:
-                return first, None
-            end = first + self._ring_size
-            self._window_end = end
-            pop = heapq.heappop
-            count = 0
-            while overflow and overflow[0][0] < end:
-                time, _seq, event = pop(overflow)
-                ring[time & mask].append(event)
-                count += 1
-            self._ring_count += count
-            if self._obs_on:
-                self._obs_window_jumps += 1
-                self._obs_migrations += count
-
-    def step(self) -> bool:
-        """Run the next event.  Returns False if the queue is empty."""
-        while True:
-            located = self._locate()
-            if located is None:
-                return False
-            t, bucket = located
-            assert bucket is not None  # no limit passed
-            i = 0
-            n = len(bucket)
-            while i < n:
-                event = bucket[i]
-                i += 1
-                self._ring_count -= 1
-                if event.__class__ is tuple:
-                    del bucket[:i]
-                    self.now = t
-                    self._events_processed += 1
-                    event[0](*event[1])
-                    if not bucket:
-                        self._splice_late(t, bucket)
-                    return True
-                event._sched = None
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                del bucket[:i]
-                self.now = t
-                self._events_processed += 1
-                event.callback(*event.args)
-                if not bucket:
-                    self._splice_late(t, bucket)
-                return True
-            del bucket[:n]
-            self._splice_late(t, bucket)
-
-    def run(
-        self,
-        until: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-        max_events: Optional[int] = None,
-        stop_interval: int = 1,
-    ) -> None:
-        """Run events until the queue drains or a bound is hit
-        (contract identical to :meth:`Scheduler.run`)."""
-        locate = self._locate
-        executed = 0
-        poll_in = stop_interval
-        while True:
-            if self._halted:
-                self._halted = False
-                return
-            located = locate(until)
-            if located is None:
-                return
-            t, bucket = located
-            if until is not None and t > until:
-                self.now = until
-                return
-            i = 0
-            n = len(bucket)
-            if self._obs_on:
-                self._obs_buckets += 1
-                self._obs_bucket_events += n
-                if n > self._obs_bucket_max:
-                    self._obs_bucket_max = n
-            while True:
-                if i == n:
-                    n = len(bucket)
-                    if i == n:
-                        if not self._splice_late(t, bucket):
-                            break
-                        n = len(bucket)
-                event = bucket[i]
-                i += 1
-                self._ring_count -= 1
-                if event.__class__ is tuple:
-                    self.now = t
-                    self._events_processed += 1
-                    executed += 1
-                    event[0](*event[1])
-                else:
-                    event._sched = None
-                    if event.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    self.now = t
-                    self._events_processed += 1
-                    executed += 1
-                    event.callback(*event.args)
-                poll_in -= 1
-                if poll_in == 0:
-                    poll_in = stop_interval
-                    if stop_when is not None and stop_when():
-                        del bucket[:i]
-                        if not bucket:
-                            self._splice_late(t, bucket)
-                        return
-                if max_events is not None and executed >= max_events:
-                    del bucket[:i]
-                    if not bucket:
-                        self._splice_late(t, bucket)
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} at cycle {self.now}"
-                    )
-            del bucket[:]
-
-
-def make_scheduler(ring_size: int = RING_SIZE):
-    """Build the kernel selected by ``REPRO_FLAT_KERNEL``.
-
-    The flat kernel is the default; setting ``REPRO_FLAT_KERNEL=0``
-    swaps in :class:`LegacyScheduler` — the escape hatch CI and the
-    equivalence tests use to pin down bit-identity between the two.
-    The variable is read per call so tests can flip kernels without
-    re-importing the world.
-    """
-    if os.environ.get("REPRO_FLAT_KERNEL", "1") == "0":
-        return LegacyScheduler(ring_size)
-    return Scheduler(ring_size)

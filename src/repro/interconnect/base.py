@@ -54,9 +54,7 @@ class Network(ABC):
         # Interned hot-path targets: every message delivery goes through
         # deliver_at, and subclasses charge per-link byte counters per
         # hop via preresolved handles into the flat values list.
-        self._post = scheduler.post
         self._post_at = scheduler.post_at
-        self._incr = stats.incr
         self._values = stats.values
         self._cb_deliver_batch = self._deliver_batch
         #: Flight recorder (:mod:`repro.obs.spans`); ``None`` unless

@@ -16,17 +16,10 @@ time* with the recurrence::
     t_{k+1} = start_k + ser + hop_fixed # hop_fixed = link + switch latency
 
 Per-link byte counters are charged during the same walk, and the final
-delivery event is posted at send time — in **both** regimes, so the
-delivery's position in its cycle's tie-break order depends only on
-architectural history.  The *express* regime (default) posts nothing
-else; the *hop-by-hop* regime (``REPRO_HOPS=1``, or ``express=False``)
-additionally posts one **inert** relay event per intermediate node
-along the precomputed timetable, reproducing per-hop simulation's
-event structure without touching state.  The two regimes are therefore
-identical in every architectural observable — delivery cycles, per-link
-bytes, violations, memory/cache images — and differ only in raw event
-counts (``hop_events_elided``), exactly the contract the wake-on-change
-kernel established for ``REPRO_POLL``.
+delivery event is posted at send time, so its position in its cycle's
+tie-break order depends only on architectural history.  No event is
+posted per hop; ``tests/interconnect/test_express_identity.py`` checks
+the result against a per-hop timetable recomputed from grid coordinates.
 
 Reservation order is global **send order** (the paper's torus is
 unordered between src/dst pairs; per-link FIFO now follows send order
@@ -37,8 +30,7 @@ plane").
 from __future__ import annotations
 
 import math
-import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.events import Scheduler
@@ -84,10 +76,6 @@ class TorusNetwork(Network):
     Delivery order between different source-destination pairs is not
     globally ordered (the paper's torus is "unordered"); per-link
     transmission is FIFO in send order.
-
-    ``express=None`` (default) reads ``REPRO_HOPS`` from the
-    environment at construction: set ``REPRO_HOPS=1`` to retain the
-    hop-by-hop relay-event regime.  Tests pass ``express`` explicitly.
     """
 
     def __init__(
@@ -97,7 +85,6 @@ class TorusNetwork(Network):
         stats: StatsRegistry,
         num_nodes: int,
         config: NetworkConfig,
-        express: Optional[bool] = None,
     ):
         super().__init__(name, scheduler, stats)
         if num_nodes < 1:
@@ -118,16 +105,6 @@ class TorusNetwork(Network):
         self._ser_memo: Dict[int, int] = {}
         self._hop_fixed = config.link_latency + config.switch_latency
         self._switch_latency = config.switch_latency
-        if express is None:
-            express = os.environ.get("REPRO_HOPS", "0") != "1"
-        self.express = express
-        #: Event-plane accounting (plain attributes, not stats counters,
-        #: so express and hop-by-hop runs stay metric-identical).
-        self.hop_events_elided = 0
-        self.express_sends = 0
-        self.fallback_sends = 0
-        # Interned bound method for the hop-by-hop relay chain.
-        self._cb_relay = self._relay
 
     # Topology helpers ---------------------------------------------------
     def _coords(self, node: int) -> Tuple[int, int]:
@@ -213,7 +190,6 @@ class TorusNetwork(Network):
         n = self._num_nodes
         values = self._values
         hop_fixed = self._hop_fixed
-        express = self.express
         spans = self.spans
         for msg in msgs:
             dst = msg.dst
@@ -241,84 +217,35 @@ class TorusNetwork(Network):
                 ser = self._ser_memo[size] = self.config.serialization_cycles(
                     size
                 )
-            if express:
-                self.express_sends += 1
-                t = now
-                for link in path:
-                    free = link.free_at
-                    start = free if free > t else t
-                    if free > t:
-                        backlog = free - t
-                        if backlog > link.high_water:
-                            link.high_water = backlog
-                    link.free_at = start + ser
-                    t = start + ser + hop_fixed
-                    values[link.hidx] += size
-                    if traced:
-                        lt = link.span_track
-                        if not lt:
-                            lt = link.span_track = spans.track(link.key)
-                        spans.span(
-                            msg.tid, lt, K_LINK, start, start + ser,
-                            msg.addr, src, dst,
-                        )
-                self.hop_events_elided += len(path) - 1
+            t = now
+            for link in path:
+                free = link.free_at
+                start = free if free > t else t
+                if free > t:
+                    backlog = free - t
+                    if backlog > link.high_water:
+                        link.high_water = backlog
+                link.free_at = start + ser
+                t = start + ser + hop_fixed
+                values[link.hidx] += size
                 if traced:
+                    lt = link.span_track
+                    if not lt:
+                        lt = link.span_track = spans.track(link.key)
                     spans.span(
-                        msg.tid, self._span_track, K_MSG, now, t,
+                        msg.tid, lt, K_LINK, start, start + ser,
                         msg.addr, src, dst,
                     )
-                self.deliver_at(t, msg)
-            else:
-                self.fallback_sends += 1
-                t = now
-                times = []
-                for link in path:
-                    free = link.free_at
-                    start = free if free > t else t
-                    if free > t:
-                        backlog = free - t
-                        if backlog > link.high_water:
-                            link.high_water = backlog
-                    link.free_at = start + ser
-                    t = start + ser + hop_fixed
-                    values[link.hidx] += size
-                    times.append(t)
-                    if traced:
-                        lt = link.span_track
-                        if not lt:
-                            lt = link.span_track = spans.track(link.key)
-                        spans.span(
-                            msg.tid, lt, K_LINK, start, start + ser,
-                            msg.addr, src, dst,
-                        )
-                if len(times) > 1:
-                    self._post_at(times[0], self._cb_relay, (times, 0))
-                if traced:
-                    spans.span(
-                        msg.tid, self._span_track, K_MSG, now, t,
-                        msg.addr, src, dst,
-                    )
-                self.deliver_at(t, msg)
-
-    def _relay(self, times: List[int], k: int) -> None:
-        """Hop-by-hop regime: inert relay along the reserved timetable.
-
-        Fires at ``times[k]`` — the arrival at intermediate node k+1 of
-        the route — and chains the next relay, reproducing the
-        one-event-per-hop structure of per-hop simulation.  All
-        architectural effects (reservation, byte counters, the final
-        delivery event) were already posted at send time, identically
-        in both regimes, so a relay touches no state: the two regimes
-        differ *only* in raw event count.
-        """
-        nxt = k + 1
-        if nxt < len(times) - 1:
-            self._post_at(times[nxt], self._cb_relay, (times, nxt))
+            if traced:
+                spans.span(
+                    msg.tid, self._span_track, K_MSG, now, t,
+                    msg.addr, src, dst,
+                )
+            self.deliver_at(t, msg)
 
     # Introspection ------------------------------------------------------
     def obs_snapshot(self) -> dict:
-        """Torus view: base traffic numbers plus express-plane state."""
+        """Torus view: base traffic numbers plus route and reservation state."""
         snap = super().obs_snapshot()
         snap.update(
             {
@@ -326,10 +253,6 @@ class TorusNetwork(Network):
                 "links_active": len(self._links),
                 "next_hop_memo_entries": len(self._next_hop),
                 "path_memo_entries": len(self._link_paths),
-                "express": self.express,
-                "express_sends": self.express_sends,
-                "fallback_sends": self.fallback_sends,
-                "hop_events_elided": self.hop_events_elided,
                 "reservation_queue_high_water": max(
                     (link.high_water for link in self._links.values()),
                     default=0,

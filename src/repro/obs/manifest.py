@@ -25,7 +25,7 @@ import sys
 from typing import Any, Dict, Optional
 
 #: Bumped when the manifest layout changes incompatibly.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def regime_flags(environ: Optional[Dict[str, str]] = None) -> Dict[str, Any]:
@@ -33,9 +33,8 @@ def regime_flags(environ: Optional[Dict[str, str]] = None) -> Dict[str, Any]:
 
     Records the *effective* settings (defaults applied), not the raw
     environment, so a manifest pins the regime a result was produced
-    under even when the variables were unset: flat event kernel on by
-    default, wake-on-change (``poll`` off), express message plane
-    (``hops`` off), streaming AR checker (``eager_check`` off), and the
+    under even when the variables were unset: wake-on-change (``poll``
+    off), streaming AR checker (``eager_check`` off), and the
     observability plane's three layers (counter hub, event trace ring,
     span flight recorder).  Deterministic for a fixed environment.
     """
@@ -50,9 +49,7 @@ def regime_flags(environ: Optional[Dict[str, str]] = None) -> Dict[str, Any]:
         return _get(name).strip().lower() not in _FALSEY
 
     return {
-        "flat_kernel": _get("REPRO_FLAT_KERNEL", "1") != "0",
         "poll": _get("REPRO_POLL", "0") == "1",
-        "hops": _get("REPRO_HOPS", "0") == "1",
         "eager_check": _get("REPRO_EAGER_CHECK") == "1",
         "obs": _truthy("REPRO_OBS"),
         "obs_trace": bool(_get("REPRO_OBS_TRACE").strip()),

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro import obs
 from repro.common.errors import ConfigError, DeadlockError
-from repro.common.events import make_scheduler
+from repro.common.events import Scheduler
 from repro.common.logical_time import (
     DirectoryLogicalTime,
     SnoopingLogicalTime,
@@ -75,7 +75,7 @@ class System:
     def __init__(self, config: SystemConfig):
         config.validate()
         self.config = config
-        self.scheduler = make_scheduler()
+        self.scheduler = Scheduler()
         #: Shared wakeup hub: one per system so the end-of-cycle retry
         #: agenda interleaves all cores' blocked checks in one global
         #: (cycle, seq) order — identical in wakeup and poll modes.

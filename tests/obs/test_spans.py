@@ -7,10 +7,10 @@ Two layers of properties:
   closed or force-closed, ring accounting balances, sampling admits
   exactly every Nth op, and the Chrome export round-trips through
   ``json``.
-* **Whole-system** (parametrized over protocol x model x wake/poll x
-  express/hops): a recorded run leaves no dangling spans, every child
-  span nests inside its transaction's root interval, trace ids are
-  unique, and the exported trace is valid Chrome ``trace_event`` JSON.
+* **Whole-system** (parametrized over protocol x model x wake/poll):
+  a recorded run leaves no dangling spans, every child span nests
+  inside its transaction's root interval, trace ids are unique, and
+  the exported trace is valid Chrome ``trace_event`` JSON.
 """
 
 import json
@@ -150,12 +150,11 @@ MODELS = [ConsistencyModel.SC, ConsistencyModel.TSO, ConsistencyModel.RMO]
 REGIMES = [
     ("wake-express", {}),
     ("poll", {"REPRO_POLL": "1"}),
-    ("hops", {"REPRO_HOPS": "1"}),
 ]
 
 
 def recorded_run(monkeypatch, protocol, model, extra_env=None):
-    for var in SPAN_ENV_VARS + ("REPRO_POLL", "REPRO_HOPS"):
+    for var in SPAN_ENV_VARS + ("REPRO_POLL",):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("REPRO_OBS_SPANS", "1")
     monkeypatch.setenv("REPRO_OBS_SPANS_SAMPLE", "1")
