@@ -2,7 +2,7 @@
 
 Runs a fixed workload mix — a 4-point (config × workload) grid with
 perturbed seeds per point, the same shape as the paper-figure sweeps —
-through four measurement passes:
+through six measurement passes:
 
 * **kernel-only**: a synthetic event storm through the calendar-queue
   ``Scheduler`` with no simulation payload, isolating raw event-kernel
@@ -14,27 +14,11 @@ through four measurement passes:
 * **cached**: same specs again against a freshly primed result cache;
   every point must hit (``cache_hits == runs``) and decode
   bit-identically;
-* **eager** (``REPRO_EAGER_CHECK=1``): same specs with the streaming
-  verification plane disabled (per-event checker calls); must be
-  bit-identical to the batch-mode serial pass.
-  ``eager_events_per_sec`` quantifies the streaming plane's win (see
-  EXPERIMENTS.md, "Verification overhead");
 * **observed** (``REPRO_OBS=1``): same specs with the observability
   plane on; the deterministic payload must stay bit-identical
-  (``identical`` covers all five passes) and the wall-clock delta is
-  recorded as ``obs_overhead_pct`` (gated in
+  (``identical`` covers serial, parallel, cached and observed) and the
+  wall-clock delta is recorded as ``obs_overhead_pct`` (gated in
   ``check_perf_regression.py``);
-* **poll** (``REPRO_POLL=1``): same specs with the wake-on-change
-  kernel degraded to the classic fixed-period retry polls.  The
-  architectural payload must match the wakeup-mode serial pass with
-  only ``events_processed`` allowed to differ
-  (``wakeup_poll_identical``); the event delta is the spin traffic the
-  wakeup plane elides (``spin_events_elided``).  Because wake mode
-  removes events rather than speeding them up, the gated throughput
-  basis is ``poll_equivalent_events_per_sec`` — the poll pass's event
-  count over the wakeup pass's wall clock, i.e. how fast the wakeup
-  kernel gets through the *same simulated work* — compared against the
-  poll pass's own ``poll_events_per_sec``;
 * **spans** (``REPRO_OBS_SPANS=1``): same specs with the transaction
   flight recorder on in its default sampled always-on configuration
   (op stride 64, infra spans off); the deterministic payload must stay
@@ -44,7 +28,7 @@ through four measurement passes:
   more, which is fine — they only happen on a violation).
 
 Timing methodology: one untimed warmup sweep runs first, then the
-serial, eager and observed passes run *interleaved* — each of four
+serial, observed and spans passes run *interleaved* — each of four
 reps times one sweep of each back to back, so a slow background window
 on a shared host penalises all three alike — and each pass reports its
 best rep (minimum wall clock, the standard estimator under additive
@@ -83,7 +67,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
@@ -248,9 +231,9 @@ def main(argv=None) -> int:
                 else:
                     os.environ[key] = value
 
-    # Interleaved timing: each rep runs one serial, one eager
-    # (REPRO_EAGER_CHECK=1: per-event checker calls) and one observed
-    # (REPRO_OBS=1: observability plane on) sweep back to back, so a
+    # Interleaved timing: each rep runs one serial, one observed
+    # (REPRO_OBS=1: observability plane on) and one spans
+    # (REPRO_OBS_SPANS=1: flight recorder on) sweep back to back, so a
     # slow background window on a shared host penalises all three
     # alike; each pass reports its best rep (minimum wall clock).  The
     # runs are deterministic, so the metrics are the same every rep —
@@ -264,10 +247,8 @@ def main(argv=None) -> int:
     # same mode every rep, biasing even paired ratios.
     modes = [
         ("serial", None),
-        ("eager", {"REPRO_EAGER_CHECK": "1"}),
         ("obs", {"REPRO_OBS": "1"}),
         ("spans", {"REPRO_OBS_SPANS": "1"}),
-        ("poll", {"REPRO_POLL": "1"}),
     ]
     results: dict = {}
     rep_times: dict = {name: [] for name, _ in modes}
@@ -277,12 +258,10 @@ def main(argv=None) -> int:
         for name, env in order:
             results[name], s = timed_sweep(env)
             rep_times[name].append(s)
-    serial, eager, observed = results["serial"], results["eager"], results["obs"]
-    spans, poll = results["spans"], results["poll"]
+    serial, observed, spans = results["serial"], results["obs"], results["spans"]
     serial_reps = rep_times["serial"]
-    serial_s, eager_s = min(serial_reps), min(rep_times["eager"])
+    serial_s = min(serial_reps)
     obs_s, spans_s = min(rep_times["obs"]), min(rep_times["spans"])
-    poll_s = min(rep_times["poll"])
 
     def overhead_pct(mode_reps: List[float]) -> float:
         """Median of per-rep overhead ratios vs the serial sweep.
@@ -327,14 +306,10 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
-    # Eager must be bit-identical to batch mode (the throughput delta is
-    # the streaming plane's win); observed must leave the deterministic
-    # payload untouched (RunMetrics equality ignores the obs field).
-    # The paired-rep delta of observed vs serial is the observability
-    # plane's overhead, gated in check_perf_regression.py.
-    eager_events_per_sec = (
-        sum(m.events_processed for m in eager) / eager_s if eager_s else 0.0
-    )
+    # Observed must leave the deterministic payload untouched
+    # (RunMetrics equality ignores the obs field).  The paired-rep delta
+    # of observed vs serial is the observability plane's overhead, gated
+    # in check_perf_regression.py.
     obs_overhead_pct = overhead_pct(rep_times["obs"])
 
     # The flight recorder must leave the deterministic payload untouched
@@ -345,31 +320,15 @@ def main(argv=None) -> int:
     spans_identical = serial == spans
     span_overhead_pct = overhead_pct(rep_times["spans"])
 
-    identical = serial == parallel == cached == eager == observed
-
-    # Wakeup-vs-poll identity: same machine, fewer events.  Everything
-    # but the raw event count must match (events_processed is exactly
-    # what the wakeup plane is allowed to shrink).
-    def arch(metrics):
-        return [
-            dataclasses.replace(m, events_processed=0, obs=None)
-            for m in metrics
-        ]
-
-    wakeup_poll_identical = arch(serial) == arch(poll)
-    poll_events = sum(m.events_processed for m in poll)
-    poll_events_per_sec = poll_events / poll_s if poll_s else 0.0
-    poll_equivalent_events_per_sec = (
-        poll_events / serial_s if serial_s else 0.0
-    )
+    identical = serial == parallel == cached == observed
 
     if not identical:
-        rows = zip(serial, parallel, cached, eager, observed)
-        for i, (a, b, c, e, o) in enumerate(rows):
-            if not (a == b == c == e == o):
+        rows = zip(serial, parallel, cached, observed)
+        for i, (a, b, c, o) in enumerate(rows):
+            if not (a == b == c == o):
                 print(
                     f"MISMATCH at spec #{i}:\n  serial:   {a}"
-                    f"\n  parallel: {b}\n  cached:   {c}\n  eager:    {e}"
+                    f"\n  parallel: {b}\n  cached:   {c}"
                     f"\n  observed: {o}"
                 )
 
@@ -418,23 +377,14 @@ def main(argv=None) -> int:
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),
         "cached_s": round(cached_s, 4),
-        "eager_s": round(eager_s, 4),
         "obs_s": round(obs_s, 4),
         "spans_s": round(spans_s, 4),
-        "poll_s": round(poll_s, 4),
         "obs_overhead_pct": round(obs_overhead_pct, 2),
         "span_overhead_pct": round(span_overhead_pct, 2),
         "spans_identical": spans_identical,
         "jobs": jobs,
         "events_per_sec": round(events_per_sec, 1),
         "kernel_events_per_sec": round(kernel_events_per_sec, 1),
-        "eager_events_per_sec": round(eager_events_per_sec, 1),
-        "poll_events_per_sec": round(poll_events_per_sec, 1),
-        "poll_equivalent_events_per_sec": round(
-            poll_equivalent_events_per_sec, 1
-        ),
-        "spin_events_elided": poll_events - events,
-        "wakeup_poll_identical": wakeup_poll_identical,
         "messages_allocated": messages_allocated,
         "msg_pool_reuse_pct": round(msg_pool_reuse_pct, 1),
         "speedup": None if speedup is None else round(speedup, 3),
@@ -465,36 +415,21 @@ def main(argv=None) -> int:
         f"{coalesced} coalesced deliveries)\n"
         f"parallel {parallel_s:8.2f} s   (jobs={jobs}, {speed_txt})\n"
         f"cached   {cached_s:8.2f} s   ({cache_hits}/{len(specs)} hits)\n"
-        f"eager    {eager_s:8.2f} s   ({eager_events_per_sec:,.0f} events/sec, "
-        f"checkers on the hot path)\n"
         f"observed {obs_s:8.2f} s   (REPRO_OBS=1, "
         f"{obs_overhead_pct:+.1f}% vs serial)\n"
         f"spans    {spans_s:8.2f} s   (REPRO_OBS_SPANS=1, "
         f"{span_overhead_pct:+.1f}% vs serial, "
         f"identical: {spans_identical})\n"
-        f"poll     {poll_s:8.2f} s   (REPRO_POLL=1, "
-        f"{poll_events:,} events, {poll_events - events:,} spin events "
-        f"elided by wakeups;\n"
-        f"          poll-equivalent {poll_equivalent_events_per_sec:,.0f} "
-        f"events/sec vs poll {poll_events_per_sec:,.0f}, "
-        f"arch-identical: {wakeup_poll_identical})\n"
         f"msgpool  {messages_allocated:,} records allocated, "
         f"{msg_pool_reuse_pct:.1f}% of sends reused a pooled record\n"
         f"alloc    {alloc_blocks:,} blocks retained "
         f"({alloc_kib:,.0f} KiB, peak {peak_bytes / 1024.0:,.0f} KiB) "
         f"over {alloc_events:,} events\n"
         f"metrics identical: {identical} "
-        f"(serial == parallel == cached == eager == observed)\n"
+        f"(serial == parallel == cached == observed)\n"
         f"[written to {os.path.abspath(args.out)}]"
     )
-    return (
-        0
-        if identical
-        and spans_identical
-        and wakeup_poll_identical
-        and cache_hits == len(specs)
-        else 1
-    )
+    return 0 if identical and spans_identical and cache_hits == len(specs) else 1
 
 
 if __name__ == "__main__":

@@ -22,10 +22,6 @@ import sys
 HIGHER_IS_BETTER = {
     "events_per_sec",
     "kernel_events_per_sec",
-    "eager_events_per_sec",
-    "poll_events_per_sec",
-    "poll_equivalent_events_per_sec",
-    "spin_events_elided",
     "msg_pool_reuse_pct",
     "speedup",
     "cache_hits",

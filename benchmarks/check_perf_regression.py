@@ -5,20 +5,14 @@ written by ``bench_perf.py --out ...``) against the committed baseline
 at the repo root.  Fails when the candidate's serial ``events_per_sec``
 or raw-kernel ``kernel_events_per_sec`` drops below ``threshold``
 (default 80%) of the baseline's, when the candidate's
-serial/parallel/cached/eager/observed metrics were not identical, or
+serial/parallel/cached/observed metrics were not identical, or
 when the observability plane's ``obs_overhead_pct`` — or the flight
 recorder's ``span_overhead_pct`` (with ``spans_identical`` asserted) —
 exceeds its ceiling (default 3% each).
 
-The wake-on-change kernel is gated on two further conditions: the
-wakeup and poll passes must be architecturally identical
-(``wakeup_poll_identical``), and the wakeup kernel's
-``poll_equivalent_events_per_sec`` — poll-pass event count over
-wakeup-pass wall clock, the apples-to-apples basis when wake mode
-*removes* events instead of speeding them up — must reach
-``--wakeup-threshold`` (default 110%) of the committed baseline's
-``poll_events_per_sec``.  That floor asserts the wakeup kernel
-actually beats polling, not merely matches it.
+The wake-on-change kernel's win over fixed-period polling is gated in
+the test suite, by exact event count against a polling reference
+(``tests/integration/test_wakeup_identity.py``), not here.
 
 The express message plane adds a ratchet: serial ``events_per_sec``
 must hold ``--express-threshold`` (default 110%) of the *pinned*
@@ -84,13 +78,6 @@ def main(argv=None) -> int:
         "the unrecorded serial pass)",
     )
     parser.add_argument(
-        "--wakeup-threshold",
-        type=float,
-        default=1.10,
-        help="minimum candidate poll_equivalent_events_per_sec over "
-        "baseline poll_events_per_sec (wakeup kernel must beat polling)",
-    )
-    parser.add_argument(
         "--express-threshold",
         type=float,
         default=1.10,
@@ -114,14 +101,6 @@ def main(argv=None) -> int:
     if not candidate.get("identical", False):
         print("FAIL: candidate metrics were not identical across passes")
         return 1
-    if "wakeup_poll_identical" in candidate and not candidate[
-        "wakeup_poll_identical"
-    ]:
-        print(
-            "FAIL: wakeup and poll kernel modes disagreed on the "
-            "architectural payload"
-        )
-        return 1
 
     failed = False
     for key, label in (
@@ -143,25 +122,6 @@ def main(argv=None) -> int:
             print(
                 f"FAIL: {label} throughput regressed below "
                 f"{args.threshold:.0%} of the committed baseline"
-            )
-            failed = True
-
-    wake_base = baseline.get("poll_events_per_sec")
-    wake_cand = candidate.get("poll_equivalent_events_per_sec")
-    if wake_base is None or wake_cand is None:
-        # Older baselines predate the wakeup kernel; nothing to gate.
-        print("perf check: wakeup-vs-poll skipped (poll fields missing)")
-    else:
-        ratio = wake_cand / wake_base if wake_base else float("inf")
-        print(
-            f"perf check: wakeup poll-equivalent {wake_cand:,.0f} ev/s vs "
-            f"baseline poll {wake_base:,.0f} ev/s "
-            f"(ratio {ratio:.2f}, floor {args.wakeup_threshold:.2f})"
-        )
-        if wake_cand < wake_base * args.wakeup_threshold:
-            print(
-                "FAIL: wakeup kernel does not beat the committed poll "
-                f"baseline by {args.wakeup_threshold:.0%}"
             )
             failed = True
 

@@ -367,10 +367,10 @@ class Scheduler:
         Late-lane records (:meth:`post_late`) and their per-cycle
         sentinel each count as one pending event until they run.
         Waiters parked on a :class:`~repro.common.waitsets.WaitSet` are
-        *not* scheduler events and never appear here — a parked (or
-        parked-then-cancelled) waiter contributes nothing; only the
-        per-cycle agenda record that an *armed* waiter shares with its
-        cycle is counted, and that record always runs.
+        *not* scheduler events and never appear here — a parked waiter
+        contributes nothing; only the per-cycle agenda record that an
+        *armed* waiter shares with its cycle is counted, and that
+        record always runs.
         """
         return (
             self._ring_count

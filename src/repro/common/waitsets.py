@@ -11,16 +11,20 @@ once, at the next point of its retry grid — the same cycle the old
 poll would have first observed the change — instead of burning an
 event every period in between.
 
-Identity with poll mode (``REPRO_POLL=1``) is architectural, not
-approximate, and rests on four rules:
+Re-checks run at exactly the cycles, and in the order, at which a
+fixed-period poll of the same gates would run, so the wake plane
+changes the simulator's event count, never the simulated machine.
+The test suite checks this against a polling reference hub
+(``PollingHub`` in ``tests/common/test_waitsets.py``: every park arms
+the next grid point, notifies are ignored).  The identity rests on
+four rules:
 
 * **End-of-cycle agendas.**  Re-checks never run mid-bucket.  They run
   in the cycle's *late lane* (:meth:`Scheduler.post_late`), after every
   normally-posted event of the cycle, so a check's outcome depends
   only on the cycle's final state — not on where in the bucket the
-  notifying transition happened to sit.  Poll mode uses the very same
-  agenda machinery (every park arms the next grid point; notify is a
-  no-op), so both modes evaluate the same predicates at the same
+  notifying transition happened to sit.  A poller driven by the same
+  agendas therefore evaluates the same predicates at the same
   simulated instants.
 * **Grid anchoring.**  A waiter's checks stay on the grid
   ``anchor + k·period`` (the anchor resets at every failed check, which
@@ -29,16 +33,17 @@ approximate, and rests on four rules:
   exactly the first poll that would have seen the change.
 * **Episode-stable sequence numbers.**  Agendas check waiters in
   global park order (``seq``).  A seq is assigned once per *episode*
-  (first park of a blocked op) and survives re-parks, so both modes
-  number episodes identically even though poll mode re-parks every
-  period.
+  (first park of a blocked op) and survives re-parks, so episodes are
+  numbered the same whether a waiter is re-parked once per notify or
+  once per period.
 * **One hub per system.**  Same-cycle checks from different cores
   share one agenda ordered by ``seq``; per-core agendas would order
-  cross-core checks by notify arrival, which is mode-dependent.
+  cross-core checks by notify arrival, which depends on the retry
+  regime.
 
 Notify-at-``now`` edge cases: if the cycle's agenda is currently
 running, a waiter whose seq is still ahead of the cursor joins it
-(poll mode would have checked it in this agenda); a waiter already
+(a poller would have checked it in this agenda); a waiter already
 passed — or a notify arriving after the agenda finished (delay-0
 chains) — is armed for the next period, matching the poll that just
 failed.  Failed checks must be architecturally side-effect-free;
@@ -46,8 +51,8 @@ per-episode stall counters belong to the parking site (see
 ``Core._vc_stall_flag``).
 
 Parked waiters are **not** scheduler events: ``Scheduler.pending()``
-never counts them (parked, cancelled, or otherwise) — only the single
-per-cycle agenda record armed waiters share, which always runs.
+never counts them — only the single per-cycle agenda record armed
+waiters share, which always runs.
 """
 
 from __future__ import annotations
@@ -58,8 +63,8 @@ from typing import Any, Callable, List, Optional
 #: Modeled retry latency: a failed check re-arms this many cycles out,
 #: and a notified waiter wakes at the next multiple of this period on
 #: its grid.  Uniform across every parking site — heterogeneous
-#: periods would let wake mode skip intermediate grid points that poll
-#: mode evaluates.
+#: periods would let a wake skip intermediate grid points that a poll
+#: evaluates.
 RETRY_PERIOD = 2
 
 
@@ -82,7 +87,6 @@ class Waiter:
         "start",
         "parked",
         "armed",
-        "cancelled",
     )
 
     def __init__(
@@ -107,7 +111,6 @@ class Waiter:
         self.start = now
         self.parked = True
         self.armed = False
-        self.cancelled = False
 
     def __lt__(self, other: "Waiter") -> bool:
         return self.seq < other.seq
@@ -134,7 +137,7 @@ class WaitSet:
         args: tuple = (),
         period: int = RETRY_PERIOD,
     ) -> Waiter:
-        """Park ``callback(*args)`` until notified (or next poll)."""
+        """Park ``callback(*args)`` until notified."""
         return self.hub.park(self, callback, args, period)
 
     def notify(self) -> None:
@@ -146,15 +149,11 @@ class WakeHub:
     """System-wide wakeup coordinator: arms waiters, runs agendas.
 
     Owns the global episode sequence and the per-cycle agendas that
-    run in the scheduler's late lane.  ``poll_mode=True`` degrades to
-    the classic fixed-period retry regime (every park arms the next
-    grid point, notifies are ignored) — same checks at the same
-    cycles, just carried by periodic events instead of subscriptions.
+    run in the scheduler's late lane.
     """
 
     __slots__ = (
         "_sched",
-        "poll_mode",
         "_seq",
         "_due",
         "_heap",
@@ -173,9 +172,8 @@ class WakeHub:
         "_wait_max",
     )
 
-    def __init__(self, scheduler, poll_mode: bool = False) -> None:
+    def __init__(self, scheduler) -> None:
         self._sched = scheduler
-        self.poll_mode = poll_mode
         self._seq = 0
         #: cycle -> waiters armed for that cycle's agenda.
         self._due: dict = {}
@@ -189,8 +187,8 @@ class WakeHub:
         #: Waiter whose check callback is on the stack right now;
         #: a park of the same check is a re-park of this episode.
         self._checking: Optional[Waiter] = None
-        # Obs counters (mode-varying; exported via obs_snapshot, never
-        # part of RunMetrics equality).
+        # Obs counters (they vary with the retry regime; exported via
+        # obs_snapshot, never part of RunMetrics equality).
         self.waits_parked = 0
         self.notifies = 0
         self.wakes = 0
@@ -213,42 +211,36 @@ class WakeHub:
         w = self._checking
         if w is not None and w.callback == callback and w.args == args:
             # Failed re-check parking itself again: same episode, same
-            # seq — both modes number episodes identically.
+            # seq.
             w.ws = ws
             w.parked = True
             w.anchor = now
             ws.waiters.append(w)
             self.spurious_wakeups += 1
             self.parked_now += 1
-            if self.poll_mode:
-                self._arm(w, now + w.period)
             return w
         # At-most-one pending retry per record: a second park of a
         # live check (e.g. two paths kicking the same stalled pump)
         # must not stack another episode.
         for w in ws.waiters:
-            if not w.cancelled and w.callback == callback and w.args == args:
+            if w.callback == callback and w.args == args:
                 return w
         w = Waiter(ws, callback, args, period, self._seq, now)
         self._seq += 1
         ws.waiters.append(w)
         self.waits_parked += 1
         self.parked_now += 1
-        if self.poll_mode:
-            self._arm(w, now + period)
         return w
 
     def notify(self, ws: WaitSet) -> None:
         """Arm ``ws``'s unarmed waiters for their next grid check."""
         self.notifies += 1
-        if self.poll_mode:
-            return
         waiters = ws.waiters
         if not waiters:
             return
         now = self._sched.now
         for w in waiters:
-            if w.armed or w.cancelled:
+            if w.armed:
                 continue
             p = w.period
             # First grid point >= now (and > anchor): the first poll
@@ -261,8 +253,8 @@ class WakeHub:
                 self._arm(w, t)
             elif self._running_cycle == now:
                 if w.seq > self._cursor:
-                    # This cycle's agenda would have reached it (poll
-                    # mode already has it queued): join in seq order.
+                    # This cycle's agenda would have reached it (a
+                    # poller already has it queued): join in seq order.
                     w.armed = True
                     heappush(self._heap, w)
                 else:
@@ -275,21 +267,6 @@ class WakeHub:
                 self._arm(w, now + p)
             else:
                 self._arm(w, now)
-
-    def cancel(self, w: Waiter) -> None:
-        """Abandon a parked episode.  Idempotent; armed slots are
-        reaped lazily by their agenda (never counted by
-        ``Scheduler.pending()`` either way)."""
-        if w.cancelled:
-            return
-        w.cancelled = True
-        if w.parked:
-            w.parked = False
-            self.parked_now -= 1
-            try:
-                w.ws.waiters.remove(w)
-            except ValueError:
-                pass
 
     def _arm(self, w: Waiter, t: int) -> None:
         w.armed = True
@@ -310,7 +287,7 @@ class WakeHub:
             w = heappop(heap)
             self._cursor = w.seq
             w.armed = False
-            if w.cancelled or not w.parked:
+            if not w.parked:
                 continue
             w.parked = False
             self.parked_now -= 1
@@ -337,7 +314,6 @@ class WakeHub:
         """Observable interface: wakeup counters + wait-duration
         histogram (count/sum/min/max, cycles per episode)."""
         return {
-            "poll_mode": self.poll_mode,
             "waits_parked": self.waits_parked,
             "notifies": self.notifies,
             "wakes": self.wakes,

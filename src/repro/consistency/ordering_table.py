@@ -24,6 +24,14 @@ Cell = MembarMask
 _TableKey = Tuple[OpType, OpType]
 _RoleKey = Tuple[OpType, MembarMask]
 
+#: The four Membar mask bits, in the order check plans list them.
+MASK_BITS = (
+    MembarMask.LOADLOAD,
+    MembarMask.LOADSTORE,
+    MembarMask.STORELOAD,
+    MembarMask.STORESTORE,
+)
+
 
 class OrderingTable:
     """Immutable ordering table with membar-mask cells.
@@ -66,6 +74,12 @@ class OrderingTable:
         #: stay valid.
         self._roles: Dict[_RoleKey, Tuple[List[bool], int]] = {}
         self._role_keys: List[_RoleKey] = []
+        #: Compiled Allowable Reordering check plans, keyed by
+        #: ``(op_type, mask)`` (see :meth:`compile_check_plan`).  The
+        #: tables are process-wide singletons, so every checker of
+        #: every machine shares them; the checker probes this dict
+        #: directly on its per-perform path.
+        self.check_plans: Dict[_RoleKey, tuple] = {}
 
     def cell(self, first: OpType, second: OpType) -> Cell:
         """Raw mask stored for (first, second); NONE if absent."""
@@ -139,6 +153,44 @@ class OrderingTable:
         role = (new_row, index)
         self._roles[key] = role
         return role
+
+    def compile_check_plan(self, op_type: OpType, mask: MembarMask) -> tuple:
+        """Fold the checks an operation's perform makes into a flat plan.
+
+        When an operation of ``op_type`` with instruction mask ``mask``
+        performs, the Allowable Reordering checker (paper Section 4.2)
+        compares it against its ``max{OP}`` counters.  The plan is
+        ``(checks, targets, bar_bits)``: ``checks`` lists
+        ``(target, second, bit)`` comparisons in table order (``bit`` is
+        None for a per-type counter, else the membar mask bit whose
+        counter applies), ``targets`` the access types whose counters
+        the operation advances, and ``bar_bits`` the membar bits it
+        advances.  Memoised in :attr:`check_plans`.
+        """
+        first_mask = mask if op_type is OpType.MEMBAR else MembarMask.ALL
+        access_targets = (
+            op_type.access_types() if op_type is OpType.ATOMIC else (op_type,)
+        )
+        checks = []
+        for target in access_targets:
+            for second in self.op_types:
+                if second is OpType.MEMBAR:
+                    # Per-bit counters: only membars whose mask shares a
+                    # bit with this cell constrain `target`.
+                    cell = self.cell(target, OpType.MEMBAR)
+                    for bit in MASK_BITS:
+                        if cell & bit & first_mask:
+                            checks.append((target, OpType.MEMBAR, bit))
+                elif self.ordered(target, second, first_mask=first_mask):
+                    checks.append((target, second, None))
+        bar_bits = (
+            [bit for bit in MASK_BITS if mask & bit]
+            if op_type is OpType.MEMBAR
+            else []
+        )
+        plan = (tuple(checks), tuple(access_targets), tuple(bar_bits))
+        self.check_plans[(op_type, mask)] = plan
+        return plan
 
     def constrains_any(self, first: OpType) -> bool:
         """True if type ``first`` is ordered before *some* type."""

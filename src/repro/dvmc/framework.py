@@ -100,7 +100,7 @@ class DVMC:
         timestamped with the cycle at which the violation was observed
         (not when a batch drain got around to checking it), so sorting
         on (cycle, checker, node, kind, detail) yields bit-identical
-        output between eager (``REPRO_EAGER_CHECK=1``) and batch modes.
+        output between eager (per-event) and batch (streaming) checking.
         The sort is stable and idempotent; ``first`` keeps meaning "the
         earliest detection" for the recovery-window comparison.
         """

@@ -21,16 +21,9 @@ from repro.common.events import Scheduler
 from repro.common.stats import StatsRegistry
 from repro.common.types import MembarMask, OpType, ViolationReport
 from repro.config import SystemConfig
-from repro.consistency.ordering_table import OrderingTable
+from repro.consistency.ordering_table import MASK_BITS, OrderingTable
 from repro.dvmc.streaming import OpLog, RECORD_WIDTH
 from repro.obs.spans import K_AR
-
-_MASK_BITS = (
-    MembarMask.LOADLOAD,
-    MembarMask.LOADSTORE,
-    MembarMask.STORELOAD,
-    MembarMask.STORESTORE,
-)
 
 #: Integer encodings for the streaming log (see :mod:`repro.dvmc.streaming`).
 _OP_CODE = {op: i for i, op in enumerate(OpType)}
@@ -64,12 +57,7 @@ class AllowableReorderingChecker:
         self.table = table
         self.violations = violations
         self._max: Dict[OpType, int] = {t: -1 for t in OpType}
-        self._membar_bit_max: Dict[MembarMask, int] = {b: -1 for b in _MASK_BITS}
-        #: Precompiled per-(table, op type, mask) check plans: the
-        #: table/mask algebra in :meth:`performed` is a pure function
-        #: of its arguments, so it is folded into a flat list of
-        #: counter comparisons the first time each combination is seen.
-        self._plans: Dict[tuple, tuple] = {}
+        self._membar_bit_max: Dict[MembarMask, int] = {b: -1 for b in MASK_BITS}
         #: committed-but-not-yet-performed operations, insertion ordered.
         self._outstanding: "OrderedDict[int, tuple]" = OrderedDict()
         self._stat = f"ar.{node}"
@@ -79,10 +67,11 @@ class AllowableReorderingChecker:
         #: Set by the system builder; used by the progress watchdog.
         self.core = None
         #: Streaming-plane state (see :mod:`repro.dvmc.streaming`).
-        #: With no log attached the checker is eager (per-event checks,
-        #: the mode unit tests and ``REPRO_EAGER_CHECK=1`` use); with a
-        #: log, ``committed``/``performed`` append ints-only records
+        #: ``build_system`` attaches a log to every checker:
+        #: ``committed``/``performed`` then append ints-only records
         #: and :meth:`drain_log` replays a whole segment in one call.
+        #: With no log the checker is eager (a check per event), the
+        #: reference the unit tests hold the log to.
         self._log: Optional[OpLog] = None
         #: Ordering-table registry: tables are long-lived singletons
         #: (``table_for`` memoises them), so a small id <-> table map
@@ -126,7 +115,6 @@ class AllowableReorderingChecker:
             ),
             "drain_depth_max": self._obs_drain_max,
             "outstanding": len(self._outstanding),
-            "compiled_plans": len(self._plans),
             "injected_membars": self.stats.counter(self._stat_injected),
             "violations": self.stats.counter(self._stat_violations),
         }
@@ -242,9 +230,9 @@ class AllowableReorderingChecker:
                     tid, self._span_track, K_AR, cycle,
                     _OP_CODE[op_type], seq, self.node,
                 )
-        plan = self._plans.get((table, op_type, mask))
+        plan = table.check_plans.get((op_type, mask))
         if plan is None:
-            plan = self._compile_plan(table, op_type, mask)
+            plan = table.compile_check_plan(op_type, mask)
         checks, targets, bar_bits = plan
         # ``bit is None`` entries compare against the per-type max;
         # membar entries compare against the per-mask-bit max.
@@ -263,36 +251,6 @@ class AllowableReorderingChecker:
         for bit in bar_bits:
             if seq > bit_max[bit]:
                 bit_max[bit] = seq
-
-    def _compile_plan(
-        self, table: OrderingTable, op_type: OpType, mask: MembarMask
-    ) -> tuple:
-        """Fold the ordering-table lookups for (op_type, mask) into a
-        flat comparison list, preserving the original check order."""
-        first_mask = mask if op_type is OpType.MEMBAR else MembarMask.ALL
-        access_targets = (
-            op_type.access_types() if op_type is OpType.ATOMIC else (op_type,)
-        )
-        checks = []
-        for target in access_targets:
-            for second in table.op_types:
-                if second is OpType.MEMBAR:
-                    # Per-bit counters: only membars whose mask shares a
-                    # bit with this cell constrain `target`.
-                    cell = table.cell(target, OpType.MEMBAR)
-                    for bit in _MASK_BITS:
-                        if cell & bit & first_mask:
-                            checks.append((target, OpType.MEMBAR, bit))
-                elif table.ordered(target, second, first_mask=first_mask):
-                    checks.append((target, second, None))
-        bar_bits = (
-            [bit for bit in _MASK_BITS if mask & bit]
-            if op_type is OpType.MEMBAR
-            else []
-        )
-        plan = (tuple(checks), tuple(access_targets), tuple(bar_bits))
-        self._plans[(table, op_type, mask)] = plan
-        return plan
 
     # -- lost-operation detection ------------------------------------------------
     def check_outstanding(self) -> None:

@@ -28,9 +28,10 @@ queue); its batch path lives in
 
 Because every record carries the cycle at which the event was
 *observed*, a drained checker reports the same violations with the
-same timestamps as an eager one; ``REPRO_EAGER_CHECK=1`` disables log
-attachment entirely and the two modes are bit-identical (violations
-and stats), which the performance benchmark asserts.
+same timestamps as an eager one (a checker with no log attached,
+which checks every event as it arrives).  The two are bit-identical
+in violations and stats; ``tests/dvmc/test_streaming.py`` holds the
+log to the eager checker, unit by unit and on whole-system runs.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ import sys
 from typing import Any, Dict, Optional
 
 #: Bumped when the manifest layout changes incompatibly.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def regime_flags(environ: Optional[Dict[str, str]] = None) -> Dict[str, Any]:
@@ -33,10 +33,9 @@ def regime_flags(environ: Optional[Dict[str, str]] = None) -> Dict[str, Any]:
 
     Records the *effective* settings (defaults applied), not the raw
     environment, so a manifest pins the regime a result was produced
-    under even when the variables were unset: wake-on-change (``poll``
-    off), streaming AR checker (``eager_check`` off), and the
-    observability plane's three layers (counter hub, event trace ring,
-    span flight recorder).  Deterministic for a fixed environment.
+    under even when the variables were unset: the observability
+    plane's three layers (counter hub, event trace ring, span flight
+    recorder).  Deterministic for a fixed environment.
     """
     from repro.obs import _FALSEY
 
@@ -49,8 +48,6 @@ def regime_flags(environ: Optional[Dict[str, str]] = None) -> Dict[str, Any]:
         return _get(name).strip().lower() not in _FALSEY
 
     return {
-        "poll": _get("REPRO_POLL", "0") == "1",
-        "eager_check": _get("REPRO_EAGER_CHECK") == "1",
         "obs": _truthy("REPRO_OBS"),
         "obs_trace": bool(_get("REPRO_OBS_TRACE").strip()),
         "obs_spans": _truthy("REPRO_OBS_SPANS"),

@@ -22,7 +22,6 @@ checker then independently verifies the result.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from itertools import islice
 from typing import Callable, Deque, Dict, List, Optional
@@ -156,29 +155,7 @@ class Core:
         self.program = program
         self.uo = uo_checker
         self.ar = ar_checker
-        self.model = model or config.model
-        #: ``model.requires_load_order`` cached as a plain attribute —
-        #: the property is consulted on every load's execute/bind/verify
-        #: path and the descriptor dispatch is measurable there.
-        self._load_ordered = self.model.requires_load_order
-        self.table: OrderingTable = table_for(self.model)
-        self._store_row, self._store_si = self.table.op_role(
-            OpType.STORE, MembarMask.ALL
-        )
-        #: Decode-time role memo: every kind except MEMBAR carries the
-        #: ALL mask, so its (row, index) is a pure function of the kind
-        #: — one identity-hash dict hit replaces ``op_role``'s tuple
-        #: build + hash per decoded op.  Rebuilt on model switch.
-        self._role_of = {
-            t: self.table.op_role(t, MembarMask.ALL)
-            for t in (OpType.LOAD, OpType.STORE, OpType.ATOMIC, OpType.STBAR)
-        }
-        #: Store->Load ordered (SC): a value forwarded from a not-yet-
-        #: performed store is speculative until the load performs — a
-        #: remote store may legally slot in between, and the load must
-        #: then observe it.  Under TSO/PSO the early forwarded value is
-        #: the architecturally final one (store-buffer bypass).
-        self._fwd_speculative = self._store_row[self._role_of[OpType.LOAD][1]]
+        self._adopt_model(model or config.model)
 
         self._inflight: Deque[OpRec] = deque()
         # Committed entries form a strict prefix of ``_inflight`` (commit
@@ -239,9 +216,7 @@ class Core:
         # one deterministic agenda; a standalone core gets a private
         # hub with the same semantics.
         if wake_hub is None:
-            wake_hub = WakeHub(
-                scheduler, poll_mode=os.environ.get("REPRO_POLL", "0") == "1"
-            )
+            wake_hub = WakeHub(scheduler)
         self._hub = wake_hub
         #: Ordering/resource conditions: something *performed*, the
         #: write buffer drained, the SC store slot freed, a VC entry
@@ -350,17 +325,7 @@ class Core:
             self._kick()
             self._post(4, self._switch_model, (model,))
             return
-        self.model = model
-        self._load_ordered = model.requires_load_order
-        self.table = table_for(model)
-        self._store_row, self._store_si = self.table.op_role(
-            OpType.STORE, MembarMask.ALL
-        )
-        self._role_of = {
-            t: self.table.op_role(t, MembarMask.ALL)
-            for t in (OpType.LOAD, OpType.STORE, OpType.ATOMIC, OpType.STBAR)
-        }
-        self._fwd_speculative = self._store_row[self._role_of[OpType.LOAD][1]]
+        self._adopt_model(model)
         if model is ConsistencyModel.SC:
             self.wb = None
         else:
@@ -383,6 +348,32 @@ class Core:
             self.uo.flush_clean_entries()
         self._incr(f"{self._stat}.model_switches")
         self._post(2, self._cb_advance, (None,))
+
+    def _adopt_model(self, model: ConsistencyModel) -> None:
+        """Take ``model``'s ordering table and the views the pipeline
+        derives from it."""
+        self.model = model
+        #: ``model.requires_load_order`` cached as a plain attribute —
+        #: the property is consulted on every load's execute/bind/verify
+        #: path and the descriptor dispatch is measurable there.
+        self._load_ordered = model.requires_load_order
+        self.table: OrderingTable = table_for(model)
+        table = self.table
+        #: Decode-time role memo: every kind except MEMBAR carries the
+        #: ALL mask, so its (row, index) is a pure function of the kind
+        #: — one identity-hash dict hit replaces ``op_role``'s tuple
+        #: build + hash per decoded op.
+        self._role_of = {
+            t: table.op_role(t, MembarMask.ALL)
+            for t in (OpType.LOAD, OpType.STORE, OpType.ATOMIC, OpType.STBAR)
+        }
+        self._store_row, self._store_si = self._role_of[OpType.STORE]
+        #: Store->Load ordered (SC): a value forwarded from a not-yet-
+        #: performed store is speculative until the load performs — a
+        #: remote store may legally slot in between, and the load must
+        #: then observe it.  Under TSO/PSO the early forwarded value is
+        #: the architecturally final one (store-buffer bypass).
+        self._fwd_speculative = self._store_row[self._role_of[OpType.LOAD][1]]
 
     def _decode_one(self, op) -> None:
         """Decode a bare (non-batch) operation — the common shape."""

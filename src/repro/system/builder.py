@@ -12,7 +12,6 @@ main entry point of the library::
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional
 
 from repro import obs
@@ -78,11 +77,9 @@ class System:
         self.scheduler = Scheduler()
         #: Shared wakeup hub: one per system so the end-of-cycle retry
         #: agenda interleaves all cores' blocked checks in one global
-        #: (cycle, seq) order — identical in wakeup and poll modes.
-        self.wake_hub = WakeHub(
-            self.scheduler,
-            poll_mode=os.environ.get("REPRO_POLL", "0") == "1",
-        )
+        #: (cycle, seq) order — the order a fixed-period poll would
+        #: check them in.
+        self.wake_hub = WakeHub(self.scheduler)
         #: Armed only inside :meth:`run`'s simulate phase: lets the last
         #: core's quiescence halt the kernel at a bucket boundary
         #: instead of polling ``stop_when`` every N events.  Kept off
@@ -138,8 +135,8 @@ class System:
             # Event-driven stop: each core reports quiescence exactly
             # once (via ``on_quiescent``); the last report halts the
             # kernel at the current bucket boundary.  No per-event
-            # ``stop_when`` polling, and the stop cycle is identical in
-            # wakeup and poll modes.
+            # ``stop_when`` polling, and the stop cycle does not depend
+            # on how blocked checks retry.
             self._halt_on_quiesce = True
             try:
                 if all(core.quiescent for core in self.cores):
@@ -277,7 +274,6 @@ def build_system(
     stats = system.stats
     hooks = system.hooks
     num = config.num_nodes
-    eager_check = os.environ.get("REPRO_EAGER_CHECK") == "1"
 
     # Observability (REPRO_OBS / REPRO_OBS_TRACE) -------------------------
     if obs.enabled():
@@ -401,7 +397,7 @@ def build_system(
         # controller completes a transition (install, upgrade,
         # invalidate, writeback, MSHR completion).  Spurious notifies
         # are architecturally safe: a woken check that still fails
-        # simply re-parks on the same retry grid as poll mode.
+        # simply re-parks on its retry grid.
         system.cache_controllers[n].wakes = core._ws_order
         if config.dvmc.enable_uniprocessor:
             uo = UniprocessorOrderingChecker(
@@ -424,14 +420,11 @@ def build_system(
             )
             core.ar = ar
             ar.core = core
-            if not eager_check:
-                # Streaming verification plane (default): the core
-                # appends ints-only records to the checker's log; the
-                # checker drains whole segments at membar heartbeats,
-                # log-full, and finalize.  REPRO_EAGER_CHECK=1 keeps
-                # per-event checking; both modes report bit-identical
-                # violations and stats (the perf benchmark asserts it).
-                ar.attach_log()
+            # Streaming verification plane: the core appends ints-only
+            # records to the checker's log; the checker drains whole
+            # segments at membar heartbeats, log-full, and finalize,
+            # reporting what per-event checking would have reported.
+            ar.attach_log()
             system.dvmc.ar_checkers.append(ar)
         system.cores.append(core)
 

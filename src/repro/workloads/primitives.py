@@ -13,9 +13,10 @@ Membar traffic.
 
 Wakeup-plane boundary: the spin loops below are *architectural* — every
 retry is a memory operation the simulated program really issues, so
-they are identical in wakeup and poll kernel modes and must never park
-on a :class:`~repro.common.waitsets.WaitSet` (parking them would change
-the machine being simulated, not just the simulator's event count).
+they do not depend on how the simulator retries blocked checks and
+must never park on a :class:`~repro.common.waitsets.WaitSet` (parking
+them would change the machine being simulated, not just the
+simulator's event count).
 What the wake-on-change kernel does eliminate is the *simulator-level*
 retry polls underneath them: a spinning load that blocks in the core
 (cache miss, ordering gate) parks and is re-woken by the owning cache

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.events import Scheduler
-from repro.common.waitsets import WaitSet, WakeHub
+from repro.common.waitsets import RETRY_PERIOD, WaitSet, WakeHub
 from tests.common.test_events import _HeapScheduler
 
 #: Kernels the wait plane must behave identically on: the calendar
@@ -27,8 +27,26 @@ def sched(new_sched):
     return new_sched()
 
 
-def make_hub(sched, poll_mode=False):
-    return WakeHub(sched, poll_mode=poll_mode)
+class PollingHub(WakeHub):
+    """Reference retry regime: fixed-period polls, no subscriptions.
+
+    Every parked check is re-checked at each point of its retry grid
+    until it succeeds, and notifies are ignored.  The agendas are the
+    hub's own, so a wake hub must check the same gates at the same
+    cycles in the same order; only the event count may differ.
+    """
+
+    __slots__ = ()
+
+    def park(self, ws, callback, args, period=RETRY_PERIOD):
+        w = super().park(ws, callback, args, period)
+        if not w.armed:
+            self._arm(w, self._sched.now + w.period)
+        return w
+
+    def notify(self, ws):
+        self.notifies += 1
+
 
 
 class Gate:
@@ -49,7 +67,7 @@ class Gate:
 
 class TestWakeups:
     def test_notify_wakes_at_next_grid_point(self, sched):
-        hub = make_hub(sched)
+        hub = WakeHub(sched)
         ws = WaitSet(hub)
         log = []
         gate = Gate(ws, log, "g")
@@ -67,7 +85,7 @@ class TestWakeups:
         assert hub.wakes == 1 and hub.parked_now == 0
 
     def test_no_events_between_park_and_notify(self, sched):
-        hub = make_hub(sched)
+        hub = WakeHub(sched)
         ws = WaitSet(hub)
         gate = Gate(ws, [], "g")
         sched.post(0, gate.check)
@@ -79,7 +97,7 @@ class TestWakeups:
     def test_agenda_runs_in_global_park_order(self, sched):
         # Waiters from *different* wait sets parked in order b, a, c
         # and all notified for the same cycle must check in park order.
-        hub = make_hub(sched)
+        hub = WakeHub(sched)
         log = []
         gates = {}
         for name in "bac":
@@ -101,7 +119,7 @@ class TestWakeups:
     def test_agenda_interleaves_after_posted_events(self, sched):
         # A cycle's agenda runs in the late lane: after every normal
         # event of that cycle, including delay-0 posts made during it.
-        hub = make_hub(sched)
+        hub = WakeHub(sched)
         ws = WaitSet(hub)
         log = []
         gate = Gate(ws, log, "woke")
@@ -124,7 +142,7 @@ class TestWakeups:
         ]
 
     def test_notify_without_waiters_is_noop(self, sched):
-        hub = make_hub(sched)
+        hub = WakeHub(sched)
         ws = WaitSet(hub)
         ws.notify()
         sched.run()
@@ -134,7 +152,7 @@ class TestWakeups:
     def test_park_after_notify_waits_for_next_notify(self, sched):
         # A notify carries no memory: a check parked after it stays
         # parked until the *next* notify.
-        hub = make_hub(sched)
+        hub = WakeHub(sched)
         ws = WaitSet(hub)
         log = []
         gate = Gate(ws, log, "g")
@@ -150,7 +168,7 @@ class TestWakeups:
         assert log == [(10, "g")]  # grid {6, 8, 10}: first point >= 9
 
     def test_failed_check_reparks_same_episode(self, sched):
-        hub = make_hub(sched)
+        hub = WakeHub(sched)
         ws = WaitSet(hub)
         log = []
         gate = Gate(ws, log, "g")
@@ -180,7 +198,7 @@ class TestWakeups:
     def test_at_most_one_pending_retry_per_record(self, sched):
         # Two paths kicking the same stalled check must not stack a
         # second episode (generalised ``_verify_retry_scheduled``).
-        hub = make_hub(sched)
+        hub = WakeHub(sched)
         ws = WaitSet(hub)
         log = []
         gate = Gate(ws, log, "g")
@@ -190,27 +208,8 @@ class TestWakeups:
         assert len(ws.waiters) == 1
         assert hub.waits_parked == 1
 
-    def test_cancel_is_idempotent_and_skips_armed_slot(self, sched):
-        hub = make_hub(sched)
-        ws = WaitSet(hub)
-        log = []
-        gate = Gate(ws, log, "g")
-        w = ws.park(gate.check)
-        sched.post(1, ws.notify)  # arms the cycle-2 agenda
-
-        def drop():
-            hub.cancel(w)
-            hub.cancel(w)
-
-        sched.post(1, drop)
-        sched.run()
-        assert log == []
-        assert hub.parked_now == 0
-        assert ws.waiters == []
-        assert sched.pending() == 0
-
     def test_parked_waiters_are_not_pending_events(self, sched):
-        hub = make_hub(sched)
+        hub = WakeHub(sched)
         ws = WaitSet(hub)
         for i in range(5):
             ws.park(lambda i=i: None, (i,))
@@ -220,8 +219,10 @@ class TestWakeups:
         # One shared agenda record (plus its lane sentinel), not five.
         assert sched.pending() == 2
 
-    def test_poll_mode_rechecks_every_period_and_ignores_notify(self, sched):
-        hub = make_hub(sched, poll_mode=True)
+    def test_polling_reference_rechecks_every_period_and_ignores_notify(
+        self, sched
+    ):
+        hub = PollingHub(sched)
         ws = WaitSet(hub)
         checks = []
 
@@ -232,7 +233,7 @@ class TestWakeups:
 
         gate = PollGate(ws, [], "g")
         sched.post(0, gate.check)
-        sched.post(3, ws.notify)  # ignored in poll mode
+        sched.post(3, ws.notify)  # ignored by the poller
 
         def release():
             gate.open = True
@@ -245,11 +246,11 @@ class TestWakeups:
         assert hub.notifies == 1 and hub.wakes == 1
 
     def test_wake_and_poll_check_cycles_match(self, new_sched):
-        # The architectural core of the mode identity: the successful
-        # check runs at the same cycle in both regimes.
-        def run(poll_mode):
+        # The architectural core of the regime identity: the successful
+        # check runs at the same cycle under wakeups and under polling.
+        def run(hub_class):
             s = new_sched()
-            hub = make_hub(s, poll_mode=poll_mode)
+            hub = hub_class(s)
             ws = WaitSet(hub)
             log = []
             gate = Gate(ws, log, "g")
@@ -263,7 +264,7 @@ class TestWakeups:
             s.run()
             return log
 
-        assert run(poll_mode=False) == run(poll_mode=True)
+        assert run(WakeHub) == run(PollingHub)
 
 
 class TestHalt:

@@ -56,6 +56,66 @@ class TestAtomicExpansion:
         assert t.ordered(OpType.ATOMIC, OpType.ATOMIC)
 
 
+class TestCheckPlans:
+    """Allowable Reordering check plans compiled from the table."""
+
+    TABLE = {
+        (L, L): True,
+        (L, MB): MembarMask.LOADLOAD | MembarMask.LOADSTORE,
+        (S, S): True,
+        (MB, L): MembarMask.LOADLOAD | MembarMask.STORELOAD,
+    }
+
+    def _table(self):
+        return OrderingTable("t", self.TABLE, op_types=(L, S, MB))
+
+    def test_plan_lists_table_order_checks_and_counters(self):
+        t = self._table()
+        checks, targets, bar_bits = t.compile_check_plan(L, MembarMask.ALL)
+        # A load checks younger loads and younger membars with #LL/#LS.
+        assert checks == (
+            (L, L, None),
+            (L, MB, MembarMask.LOADLOAD),
+            (L, MB, MembarMask.LOADSTORE),
+        )
+        assert targets == (L,) and bar_bits == ()
+        checks, targets, _ = t.compile_check_plan(OpType.ATOMIC, MembarMask.ALL)
+        assert targets == (L, S)  # both halves advance their counters
+        assert (S, S, None) in checks
+        checks, targets, bar_bits = t.compile_check_plan(
+            MB, MembarMask.STORELOAD
+        )
+        # #SL orders the membar before younger loads, not stores.
+        assert checks == ((MB, L, None),)
+        assert targets == (MB,) and bar_bits == (MembarMask.STORELOAD,)
+
+    def test_checkers_share_one_compile_per_table(self):
+        from repro.common.events import Scheduler
+        from repro.common.stats import StatsRegistry
+        from repro.config import SystemConfig
+        from repro.dvmc.framework import ViolationLog
+        from repro.dvmc.reordering import AllowableReorderingChecker
+
+        t = self._table()
+        compiles = []
+        compile_check_plan = t.compile_check_plan
+
+        def counting(op_type, mask):
+            compiles.append((op_type, mask))
+            return compile_check_plan(op_type, mask)
+
+        t.compile_check_plan = counting
+        for node in range(2):
+            checker = AllowableReorderingChecker(
+                node, Scheduler(), StatsRegistry(), SystemConfig(),
+                lambda: t, ViolationLog(),
+            )
+            for seq in range(3):
+                checker.performed(L, seq, MembarMask.ALL)
+        assert compiles == [(L, MembarMask.ALL)]
+        assert list(t.check_plans) == [(L, MembarMask.ALL)]
+
+
 class TestIntrospection:
     def test_predecessors_of(self):
         t = OrderingTable(

@@ -241,18 +241,21 @@ def test_growing_log_drains_like_a_preallocated_one(records, seed):
 
 
 def _run_metrics(monkeypatch, eager: bool, workload: str):
-    if eager:
-        monkeypatch.setenv("REPRO_EAGER_CHECK", "1")
-    else:
-        monkeypatch.delenv("REPRO_EAGER_CHECK", raising=False)
-    spec = RunSpec(
-        SystemConfig.protected().with_seed(11), workload, ops=40
-    )
-    return execute_run_spec(spec)
+    """Run one system; ``eager`` keeps every AR checker log-free, so it
+    checks each event as it arrives (the per-event reference)."""
+    with monkeypatch.context() as patch:
+        if eager:
+            patch.setattr(
+                AllowableReorderingChecker, "attach_log", lambda self: None
+            )
+        spec = RunSpec(
+            SystemConfig.protected().with_seed(11), workload, ops=40
+        )
+        return execute_run_spec(spec)
 
 
 class TestEagerBatchIdentity:
-    """REPRO_EAGER_CHECK=1 and the default streaming plane must agree
+    """Per-event checking and the default streaming plane must agree
     bit-for-bit: cycles, violation count, events, and every counter."""
 
     @pytest.mark.parametrize("workload", ["oltp", "barnes"])
@@ -261,12 +264,9 @@ class TestEagerBatchIdentity:
         eager = _run_metrics(monkeypatch, eager=True, workload=workload)
         assert dataclasses.asdict(batch) == dataclasses.asdict(eager)
 
-    def test_eager_env_disables_log(self, monkeypatch):
+    def test_built_checkers_stream_through_a_log(self):
         from repro.system.builder import build_system
 
-        monkeypatch.setenv("REPRO_EAGER_CHECK", "1")
         system = build_system(SystemConfig.protected().with_seed(1))
-        assert all(ar._log is None for ar in system.dvmc.ar_checkers)
-        monkeypatch.delenv("REPRO_EAGER_CHECK", raising=False)
-        system = build_system(SystemConfig.protected().with_seed(1))
+        assert system.dvmc.ar_checkers
         assert all(ar._log is not None for ar in system.dvmc.ar_checkers)

@@ -45,8 +45,6 @@ class TestRunManifest:
         # Only switches a builder still reads; a retired regime leaves
         # the manifest with its flag (and bumps SCHEMA_VERSION).
         assert set(regime_flags({})) == {
-            "poll",
-            "eager_check",
             "obs",
             "obs_trace",
             "obs_spans",

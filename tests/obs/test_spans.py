@@ -149,12 +149,11 @@ MODELS = [ConsistencyModel.SC, ConsistencyModel.TSO, ConsistencyModel.RMO]
 
 REGIMES = [
     ("wake-express", {}),
-    ("poll", {"REPRO_POLL": "1"}),
 ]
 
 
 def recorded_run(monkeypatch, protocol, model, extra_env=None):
-    for var in SPAN_ENV_VARS + ("REPRO_POLL",):
+    for var in SPAN_ENV_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("REPRO_OBS_SPANS", "1")
     monkeypatch.setenv("REPRO_OBS_SPANS_SAMPLE", "1")

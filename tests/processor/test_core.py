@@ -157,6 +157,37 @@ class TestModelSwitching:
         assert result.completed
         assert system.cores[0].wb is None
 
+    @pytest.mark.parametrize(
+        "start,target",
+        [
+            (ConsistencyModel.TSO, ConsistencyModel.SC),
+            (ConsistencyModel.SC, ConsistencyModel.RMO),
+            (ConsistencyModel.PSO, ConsistencyModel.TSO),
+        ],
+    )
+    def test_switch_rederives_ordering_views(self, start, target):
+        # A switched core decodes, forwards and gates exactly like a
+        # core built under the target model.
+        def prog():
+            yield Store(ADDR, 1)
+            yield SetModel(target)
+            yield Store(ADDR, 2)
+
+        switched = run_programs([prog()], model=start)[0].cores[0]
+        fresh = run_programs([idle_program()], model=target)[0].cores[0]
+        views = (
+            "model",
+            "table",
+            "_load_ordered",
+            "_role_of",
+            "_store_row",
+            "_store_si",
+            "_fwd_speculative",
+        )
+        assert {v: getattr(switched, v) for v in views} == {
+            v: getattr(fresh, v) for v in views
+        }
+
     def test_switch_from_sc_creates_write_buffer(self):
         def prog():
             yield Store(ADDR, 1)
