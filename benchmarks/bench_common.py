@@ -52,22 +52,20 @@ def measure_grid(
     ops: int = OPS,
     seeds: int = SEEDS,
     jobs: Optional[int] = None,
-    cache=None,
 ) -> Dict[str, Dict[str, Measurement]]:
     """workload -> config-label -> Measurement.
 
     The whole config × workload × seed grid is one flat batch of
     independent runs, fanned across cores by
     :func:`repro.parallel.run_points` (``jobs=None`` honours the
-    ``REPRO_JOBS`` environment variable, ``cache=None`` the
-    ``REPRO_CACHE`` one).  Replicas are re-grouped in submission
-    order, so the grid is identical to the serial one.
+    ``REPRO_JOBS`` environment variable).  Replicas are re-grouped in
+    submission order, so the grid is identical to the serial one.
     """
     points = [(w, label) for w in workloads for label in configs]
     specs = []
     for workload, label in points:
         specs.extend(replica_specs(configs[label], workload, ops, seeds))
-    metrics = run_points(specs, jobs=jobs, cache=cache)
+    metrics = run_points(specs, jobs=jobs)
     out: Dict[str, Dict[str, Measurement]] = {}
     for i, (workload, label) in enumerate(points):
         chunk = metrics[i * seeds : (i + 1) * seeds]

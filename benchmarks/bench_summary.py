@@ -1,14 +1,12 @@
-"""Render a fresh-vs-committed ``BENCH_perf.json`` diff as markdown.
+"""Render a differential fuzz campaign's stats as markdown.
 
-CI appends the output to ``$GITHUB_STEP_SUMMARY`` so every build shows
-the measured perf trajectory — committed baseline, fresh candidate, and
-the relative delta per numeric field — without digging into artifacts.
+CI's fuzz job appends the output to ``$GITHUB_STEP_SUMMARY`` so every
+build shows the outcome counts and any mismatch without digging into
+artifacts.
 
 Usage::
 
-    python benchmarks/bench_summary.py \
-        --baseline BENCH_perf.json \
-        --candidate /tmp/BENCH_perf.candidate.json
+    python benchmarks/bench_summary.py --fuzz /tmp/fuzz_stats.json
 """
 
 from __future__ import annotations
@@ -17,16 +15,6 @@ import argparse
 import json
 import sys
 
-#: Fields where bigger is better; everything else numeric is
-#: lower-is-better (wall clocks, allocation counts) or neutral.
-HIGHER_IS_BETTER = {
-    "events_per_sec",
-    "kernel_events_per_sec",
-    "msg_pool_reuse_pct",
-    "speedup",
-    "cache_hits",
-}
-
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -34,42 +22,6 @@ def _fmt(value) -> str:
     if isinstance(value, int) and not isinstance(value, bool):
         return f"{value:,}"
     return str(value)
-
-
-def _delta(base, cand, key: str) -> str:
-    if (
-        not isinstance(base, (int, float))
-        or not isinstance(cand, (int, float))
-        or isinstance(base, bool)
-        or isinstance(cand, bool)
-        or not base
-    ):
-        return ""
-    pct = (cand / base - 1.0) * 100.0
-    if abs(pct) < 0.05:
-        return "±0.0%"
-    arrow = ""
-    if key in HIGHER_IS_BETTER:
-        arrow = " ⬆" if pct > 0 else " ⬇"
-    return f"{pct:+.1f}%{arrow}"
-
-
-def render(baseline: dict, candidate: dict) -> str:
-    lines = [
-        "## bench_perf: fresh candidate vs committed baseline",
-        "",
-        "| field | committed | fresh | delta |",
-        "|---|---:|---:|---:|",
-    ]
-    for key in sorted(set(baseline) | set(candidate)):
-        base = baseline.get(key)
-        cand = candidate.get(key)
-        lines.append(
-            f"| `{key}` | {_fmt(base)} | {_fmt(cand)} "
-            f"| {_delta(base, cand, key)} |"
-        )
-    lines.append("")
-    return "\n".join(lines)
 
 
 def render_fuzz(report: dict) -> str:
@@ -114,29 +66,15 @@ def render_fuzz(report: dict) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline")
-    parser.add_argument("--candidate")
     parser.add_argument(
         "--fuzz",
         metavar="FILE",
-        help="also (or only) render a fuzz campaign stats JSON",
+        required=True,
+        help="fuzz campaign stats JSON (`repro.cli fuzz --stats-out`)",
     )
     args = parser.parse_args(argv)
-    if bool(args.baseline) != bool(args.candidate):
-        parser.error("--baseline and --candidate go together")
-    if not args.baseline and not args.fuzz:
-        parser.error("nothing to render: pass --baseline/--candidate and/or --fuzz")
-    sections = []
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        with open(args.candidate) as fh:
-            candidate = json.load(fh)
-        sections.append(render(baseline, candidate))
-    if args.fuzz:
-        with open(args.fuzz) as fh:
-            sections.append(render_fuzz(json.load(fh)))
-    print("\n".join(sections))
+    with open(args.fuzz) as fh:
+        print(render_fuzz(json.load(fh)))
     return 0
 
 

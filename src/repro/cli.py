@@ -88,7 +88,6 @@ def cmd_compare(args) -> int:
             ops=args.ops,
             seeds=args.seeds,
             jobs=args.jobs,
-            cache=args.cache,
         )
         dvmc = measure(
             SystemConfig.protected(
@@ -98,7 +97,6 @@ def cmd_compare(args) -> int:
             ops=args.ops,
             seeds=args.seeds,
             jobs=args.jobs,
-            cache=args.cache,
         )
         overhead = dvmc.runtime_mean / base.runtime_mean - 1
         print(
@@ -142,7 +140,6 @@ def cmd_campaign(args) -> int:
         trials_per_kind=args.trials,
         seed=args.seed,
         jobs=args.jobs if args.jobs is not None else 0,
-        cache=args.cache,
     )
     print(format_summary(summarize(results)))
     hangs_missed = [
@@ -260,14 +257,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="worker processes for independent runs (0 = all cores minus "
         "one; default: REPRO_JOBS env, then 1 — except campaigns, which "
         "default to 0; single `run` invocations always execute in-process)",
-    )
-    parser.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="serve repeated sweep points from the on-disk result cache "
-        "under .repro_cache/ (entries are keyed by spec + code version; "
-        "default: REPRO_CACHE env, then off)",
     )
     parser.add_argument(
         "--obs",

@@ -10,13 +10,12 @@ experiment and its summary table.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.rng import SplitRng
 from repro.config import SystemConfig
-from repro.parallel import ResultCache, run_points
+from repro.parallel import run_points
 from repro.system.builder import build_system
 
 from .injector import ALL_FAULT_KINDS, FaultInjector, FaultKind, FaultPlan
@@ -110,24 +109,6 @@ class TrialSpec:
     max_cycles: int
 
 
-def _encode_trial(result: TrialResult) -> dict:
-    data = dataclasses.asdict(result)
-    data["kind"] = result.kind.value
-    return data
-
-
-def _decode_trial(data: dict) -> TrialResult:
-    data = dict(data)
-    data["kind"] = FaultKind(data["kind"])
-    return TrialResult(**data)
-
-
-# Campaign trials ride the same run-level result cache as RunSpec
-# sweeps: a TrialSpec fingerprints like any frozen dataclass, and the
-# codec round-trips the FaultKind enum through its string value.
-ResultCache.register(TrialResult, _encode_trial, _decode_trial)
-
-
 def run_trial_spec(spec: TrialSpec) -> TrialResult:
     """Top-level worker: execute one :class:`TrialSpec` in this process."""
     return run_trial(
@@ -149,16 +130,13 @@ def run_campaign(
     trials_per_kind: int = 3,
     seed: int = 11,
     jobs: Optional[int] = None,
-    cache=None,
 ) -> List[TrialResult]:
     """The Section 6.1 experiment: random (type, time, location) faults.
 
     All (type, time, location) choices are drawn up front from the
     campaign RNG, then the independent trials fan out across ``jobs``
     worker processes; results come back in trial order, identical to a
-    serial campaign.  With ``cache`` enabled, previously executed
-    trials (same spec, same code version) are served from the result
-    cache.
+    serial campaign.
     """
     rng = SplitRng(seed).child("campaign")
     # Calibrate the injection window against a fault-free run.
@@ -179,7 +157,7 @@ def run_campaign(
                     max_cycles=3 * base_cycles + 60_000,
                 )
             )
-    return run_points(specs, jobs=jobs, worker=run_trial_spec, cache=cache)
+    return run_points(specs, jobs=jobs, worker=run_trial_spec)
 
 
 def summarize(results: List[TrialResult]) -> Dict[FaultKind, Dict[str, float]]:

@@ -2,10 +2,11 @@
 
 A manifest pins down everything needed to reproduce (or refuse to
 compare) a result: the exact configuration (content hash), the seed,
-the code version (git sha and the same source fingerprint the result
-cache keys on), and the interpreter/platform that produced it.  The
-bench CI job writes one next to every ``BENCH_perf.json`` so perf
-numbers are never compared across unknown code or machines.
+the code version (git sha and a fingerprint of the ``repro`` source
+tree), and the interpreter/platform that produced it.  ``repro.cli
+run --obs --obs-dir DIR`` writes one beside the run's metrics (CI's
+bench job uploads them), so numbers are never compared across unknown
+code or machines.
 
 Manifests are deterministic for a fixed (config, seed, code,
 interpreter): no timestamps, no absolute paths — the unit tests assert
@@ -72,6 +73,32 @@ def config_hash(config: Any) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+_code_fp: Optional[str] = None
+
+
+def code_fingerprint() -> str:
+    """Hash of every source file in the ``repro`` package (memoised).
+
+    Changes with any edit to the simulator, committed or not, where
+    :func:`git_sha` only names the last commit.
+    """
+    global _code_fp
+    if _code_fp is None:
+        digest = hashlib.sha256()
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        for dirpath, dirnames, filenames in sorted(os.walk(root)):
+            dirnames.sort()
+            for name in sorted(filenames):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                digest.update(os.path.relpath(path, root).encode())
+                with open(path, "rb") as fh:
+                    digest.update(fh.read())
+        _code_fp = digest.hexdigest()
+    return _code_fp
+
+
 def git_sha() -> Optional[str]:
     """HEAD commit of the repo containing this package, if available."""
     root = os.path.dirname(os.path.abspath(__file__))
@@ -101,8 +128,6 @@ def run_manifest(
     ``seed`` defaults to ``config.seed`` when the config carries one.
     ``extra`` entries are merged under the ``"extra"`` key verbatim.
     """
-    from repro.parallel import code_fingerprint
-
     if seed is None and config is not None:
         seed = getattr(config, "seed", None)
     manifest: Dict[str, Any] = {

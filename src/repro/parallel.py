@@ -21,15 +21,6 @@ trials.  :func:`run_points` executes such independent points on a
 * A crashed worker process surfaces as :class:`ParallelRunError`
   naming the failed spec, rather than a hang or a bare pool error.
 
-On top of the pool sits a content-addressed **result cache**
-(:class:`ResultCache`): a run's outcome is keyed by a fingerprint of
-its spec *and* of the simulator's source code, so repeated sweep
-points — re-running a benchmark, widening a campaign, regenerating a
-figure — are near-free, while any code or configuration change
-invalidates every stale entry automatically.  Enable it with
-``cache=True`` (or ``--cache`` on the CLI / ``REPRO_CACHE=1`` in the
-environment); entries live under ``.repro_cache/``.
-
 Used by :func:`repro.system.experiments.measure` (seed replicas),
 ``benchmarks/bench_common.measure_grid`` (config × workload grids) and
 :func:`repro.faults.campaign.run_campaign` (injection trials).
@@ -38,10 +29,6 @@ Used by :func:`repro.system.experiments.measure` (seed replicas),
 from __future__ import annotations
 
 import atexit
-import dataclasses
-import enum
-import hashlib
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -54,15 +41,6 @@ from repro.config import SystemConfig
 
 #: Environment variable consulted when ``jobs`` is not given.
 JOBS_ENV = "REPRO_JOBS"
-#: Environment variable consulted when ``cache`` is not given: "1" (or
-#: a directory path) enables the result cache, "0"/"" disables it.
-CACHE_ENV = "REPRO_CACHE"
-#: Default on-disk location of the result cache (repo-relative).
-CACHE_DIR = ".repro_cache"
-#: Environment variable bounding the cache directory size (megabytes).
-#: Unset/0 means unbounded; above the budget the least-recently-used
-#: entries are evicted (reads refresh recency via mtime).
-CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 
 SpecT = TypeVar("SpecT")
 ResultT = TypeVar("ResultT")
@@ -241,9 +219,10 @@ _pool_hub = None
 def pool_hub():
     """The orchestrator-side :class:`~repro.obs.hub.MetricsHub`.
 
-    Re-evaluates ``REPRO_OBS`` on every call (the benchmark toggles it
-    between passes): disabled callers always get the shared null hub,
-    and a stale null hub is replaced the moment observability turns on.
+    Re-evaluates ``REPRO_OBS`` on every call, so one process can run
+    batches with observability off and on: disabled callers always get
+    the shared null hub, and a stale null hub is replaced the moment
+    observability turns on.
     """
     global _pool_hub
     from repro import obs
@@ -256,11 +235,11 @@ def pool_hub():
 
 
 def last_run_obs() -> Optional[Dict]:
-    """Pool/cache view of the most recent :func:`run_points` batch.
+    """Pool view of the most recent :func:`run_points` batch.
 
-    Plain data (jobs, wall seconds, per-task seconds, utilization,
-    cache hits/misses) — independent of the per-run ``RunMetrics.obs``
-    snapshots, which describe the simulated systems themselves.
+    Plain data (jobs, wall seconds, per-task seconds, utilization) —
+    independent of the per-run ``RunMetrics.obs`` snapshots, which
+    describe the simulated systems themselves.
     """
     return dict(_last_obs) if _last_obs is not None else None
 
@@ -292,200 +271,6 @@ def _note_execution(
 
 
 # ---------------------------------------------------------------------------
-# Content-addressed result cache
-# ---------------------------------------------------------------------------
-
-_code_fp: Optional[str] = None
-
-
-def code_fingerprint() -> str:
-    """Hash of every source file in the ``repro`` package (memoised).
-
-    Folded into each spec fingerprint so that *any* code change —
-    model fix, protocol tweak, kernel rewrite — invalidates every
-    cached result without bookkeeping.
-    """
-    global _code_fp
-    if _code_fp is None:
-        digest = hashlib.sha256()
-        root = os.path.dirname(os.path.abspath(__file__))
-        for dirpath, dirnames, filenames in sorted(os.walk(root)):
-            dirnames.sort()
-            for name in sorted(filenames):
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, name)
-                digest.update(os.path.relpath(path, root).encode())
-                with open(path, "rb") as fh:
-                    digest.update(fh.read())
-        _code_fp = digest.hexdigest()
-    return _code_fp
-
-
-def _json_default(obj):
-    if isinstance(obj, enum.Enum):
-        return f"{type(obj).__name__}.{obj.name}"
-    raise TypeError(f"unfingerprintable value in spec: {obj!r}")
-
-
-def spec_fingerprint(spec) -> str:
-    """Stable content hash of a (dataclass) spec plus the code version."""
-    payload = {
-        "type": type(spec).__name__,
-        "code": code_fingerprint(),
-        "spec": dataclasses.asdict(spec),
-    }
-    blob = json.dumps(payload, sort_keys=True, default=_json_default)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-class ResultCache:
-    """On-disk ``spec fingerprint -> result`` store.
-
-    One JSON file per entry under ``root``; entries self-describe their
-    result type, and only types with a registered codec are stored or
-    served (unknown payloads read as misses).  Writes go through a
-    temp-file rename so concurrent workers never see a torn entry.
-    """
-
-    #: result type name -> (encode to JSON-safe dict, decode back).
-    _codecs: Dict[str, Tuple[Callable, Callable]] = {}
-
-    @classmethod
-    def register(
-        cls, result_type: type, encode: Callable, decode: Callable
-    ) -> None:
-        cls._codecs[result_type.__name__] = (encode, decode)
-
-    def __init__(self, root: str = CACHE_DIR, max_bytes: Optional[int] = None):
-        self.root = root
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        if max_bytes is None:
-            env = os.environ.get(CACHE_MAX_MB_ENV, "").strip()
-            try:
-                max_bytes = int(float(env) * 1024 * 1024) if env else 0
-            except ValueError:
-                max_bytes = 0
-        #: Byte budget for the directory; 0 disables eviction.
-        self.max_bytes = max_bytes
-
-    def _path(self, spec) -> str:
-        return os.path.join(self.root, spec_fingerprint(spec) + ".json")
-
-    def get(self, spec):
-        """The cached result for ``spec``, or None on any kind of miss."""
-        if not dataclasses.is_dataclass(spec):
-            self.misses += 1
-            return None
-        try:
-            with open(self._path(spec)) as fh:
-                payload = json.load(fh)
-            codec = self._codecs.get(payload["type"])
-            if codec is None:
-                self.misses += 1
-                return None
-            value = codec[1](payload["data"])
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        try:
-            os.utime(self._path(spec))  # refresh LRU recency
-        except OSError:
-            pass
-        return value
-
-    def put(self, spec, result) -> None:
-        """Store ``result`` for ``spec`` (no-op for unregistered types)."""
-        if not dataclasses.is_dataclass(spec):
-            return
-        codec = self._codecs.get(type(result).__name__)
-        if codec is None:
-            return
-        os.makedirs(self.root, exist_ok=True)
-        path = self._path(spec)
-        payload = {"type": type(result).__name__, "data": codec[0](result)}
-        tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-        self._evict_over_budget(keep=path)
-
-    def _evict_over_budget(self, keep: Optional[str] = None) -> None:
-        """Delete least-recently-used entries until under ``max_bytes``.
-
-        ``keep`` (the entry just written) is never evicted, so a budget
-        smaller than one entry still leaves the latest result usable.
-        Concurrent workers may race on the same victims; a loser's
-        missing file is simply skipped.
-        """
-        if not self.max_bytes:
-            return
-        try:
-            entries = []
-            total = 0
-            with os.scandir(self.root) as it:
-                for ent in it:
-                    if not ent.name.endswith(".json"):
-                        continue
-                    try:
-                        st = ent.stat()
-                    except OSError:
-                        continue
-                    entries.append((st.st_mtime, ent.path, st.st_size))
-                    total += st.st_size
-        except OSError:
-            return
-        if total <= self.max_bytes:
-            return
-        entries.sort()  # oldest mtime first
-        for _mtime, path, size in entries:
-            if total <= self.max_bytes:
-                break
-            if path == keep:  # both built via os.path.join(root, name)
-                continue
-            try:
-                os.remove(path)
-            except OSError:
-                continue
-            total -= size
-            self.evictions += 1
-
-
-ResultCache.register(
-    RunMetrics,
-    encode=dataclasses.asdict,
-    decode=lambda data: RunMetrics(**data),
-)
-
-
-def resolve_cache(cache=None) -> Optional[ResultCache]:
-    """Normalise a ``cache`` request to a :class:`ResultCache` or None.
-
-    ``None`` defers to ``REPRO_CACHE`` ("1"/"true" → default directory,
-    a path → that directory, "0"/"" → off); ``True``/``False`` force it
-    on (default directory) or off; a string selects the directory; an
-    existing :class:`ResultCache` passes through.
-    """
-    if isinstance(cache, ResultCache):
-        return cache
-    if cache is None:
-        env = os.environ.get(CACHE_ENV, "").strip()
-        if env.lower() in ("", "0", "false", "no", "off"):
-            return None
-        if env.lower() in ("1", "true", "yes", "on"):
-            return ResultCache()
-        return ResultCache(env)
-    if cache is False:
-        return None
-    if cache is True:
-        return ResultCache()
-    return ResultCache(str(cache))
-
-
-# ---------------------------------------------------------------------------
 # Orchestration
 # ---------------------------------------------------------------------------
 
@@ -494,7 +279,6 @@ def run_points(
     specs: Sequence[SpecT],
     jobs: Optional[int] = None,
     worker: Callable[[SpecT], ResultT] = execute_run_spec,
-    cache=None,
 ) -> List[ResultT]:
     """Run ``worker`` over every spec, preserving spec order.
 
@@ -503,47 +287,9 @@ def run_points(
     parallel and serial results are identical for deterministic
     workers.  Worker exceptions and worker-process deaths both raise
     :class:`ParallelRunError` identifying the offending spec.
-
-    ``cache`` (see :func:`resolve_cache`) consults the result cache
-    first and only executes the missing specs; fresh results are
-    written back, so a repeated sweep costs one file read per point.
     """
     specs = list(specs)
     jobs = resolve_jobs(jobs)
-    store = resolve_cache(cache)
-    if store is None:
-        return _execute(specs, jobs, worker)
-
-    results: List[Optional[ResultT]] = [store.get(spec) for spec in specs]
-    missing = [i for i, r in enumerate(results) if r is None]
-    if missing:
-        try:
-            fresh = _execute([specs[i] for i in missing], jobs, worker)
-        except ParallelRunError as exc:
-            # Re-key the failure to the caller's spec numbering.
-            index = missing[exc.index]
-            raise ParallelRunError(index, specs[index], exc.reason) from exc
-        for i, value in zip(missing, fresh):
-            store.put(specs[i], value)
-            results[i] = value
-    else:
-        _note_execution(jobs, 0.0, [])
-    global _last_obs
-    if _last_obs is not None:
-        _last_obs["cache_hits"] = store.hits
-        _last_obs["cache_misses"] = store.misses
-        _last_obs["cache_evictions"] = store.evictions
-    hub = pool_hub()
-    if hub.enabled:
-        hub.counter("cache.hits").add(store.hits)
-        hub.counter("cache.misses").add(store.misses)
-        hub.counter("cache.evictions").add(store.evictions)
-    return results  # type: ignore[return-value]
-
-
-def _execute(
-    specs: List[SpecT], jobs: int, worker: Callable[[SpecT], ResultT]
-) -> List[ResultT]:
     start = time.perf_counter()
     latencies: List[float] = []
     if jobs <= 1 or len(specs) <= 1:

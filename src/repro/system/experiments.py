@@ -106,9 +106,8 @@ def aggregate_metrics(
 def merge_obs_phases(metrics: Sequence[RunMetrics]) -> Dict[str, float]:
     """Fold per-replica obs phase timings into one exclusive-seconds map.
 
-    Replicas with no snapshot (obs disabled, or served from the result
-    cache before the obs field existed) contribute nothing; an empty
-    dict means no replica was observed.
+    Replicas with no snapshot (obs disabled) contribute nothing; an
+    empty dict means no replica was observed.
     """
     merged: Dict[str, float] = {}
     for m in metrics:
@@ -126,20 +125,14 @@ def measure(
     ops: int = 300,
     seeds: int = DEFAULT_SEEDS,
     jobs: Optional[int] = None,
-    cache=None,
 ) -> Measurement:
     """Run ``seeds`` perturbed replicas and aggregate the metrics.
 
     ``jobs`` fans the replicas across worker processes (see
     :func:`repro.parallel.run_points`); results are aggregated in seed
-    order, so every field is identical to a serial run.  ``cache``
-    consults the run-level result cache first (see
-    :func:`repro.parallel.resolve_cache`) — cached replicas aggregate
-    bit-identically to fresh ones.
+    order, so every field is identical to a serial run.
     """
-    metrics = run_points(
-        replica_specs(config, workload, ops, seeds), jobs=jobs, cache=cache
-    )
+    metrics = run_points(replica_specs(config, workload, ops, seeds), jobs=jobs)
     return aggregate_metrics(config, metrics)
 
 
