@@ -1,8 +1,11 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _config, build_parser, main
+from repro.obs.manifest import code_fingerprint, config_hash
 
 
 class TestParser:
@@ -22,6 +25,14 @@ class TestParser:
         )
         assert args.fault == "lsq-wrong-value"
         assert args.at == 100
+
+    @pytest.mark.parametrize("command", ["run", "compare", "campaign"])
+    def test_result_cache_flags_are_retired(self, command, capsys):
+        for flag in ("--cache", "--no-cache"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args([command, flag])
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -55,3 +66,44 @@ class TestCommands:
         )
         out = capsys.readouterr().out
         assert "DETECTED" in out or "not detected" in out
+
+
+class TestObsArtifacts:
+    """``run --obs --obs-dir`` writes the artifacts CI's bench job uploads."""
+
+    RUN = ["run", "--workload", "jbb", "--nodes", "2", "--ops", "40", "--seed", "3"]
+
+    def test_writes_manifest_metrics_and_snapshot(self, tmp_path, monkeypatch, capsys):
+        # --obs sets REPRO_OBS in this process; setenv restores it after.
+        monkeypatch.setenv("REPRO_OBS", "0")
+        out_dir = tmp_path / "obs_artifacts"
+        assert main(self.RUN + ["--obs", "--obs-dir", str(out_dir)]) == 0
+        assert f"obs artifacts written to {out_dir}/" in capsys.readouterr().out
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "manifest.json",
+            "metrics.prom",
+            "snapshot.json",
+        ]
+
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        args = build_parser().parse_args(self.RUN)
+        assert manifest["config_hash"] == config_hash(_config(args, protected=True))
+        assert (manifest["workload"], manifest["ops"], manifest["seed"]) == (
+            "jbb",
+            40,
+            3,
+        )
+        assert manifest["code_fingerprint"] == code_fingerprint()
+        assert manifest["regimes"]["obs"] is True
+
+        snapshot = json.loads((out_dir / "snapshot.json").read_text())
+        assert snapshot["layers"]["scheduler"]["events_processed"] > 0
+        prom = (out_dir / "metrics.prom").read_text()
+        assert "# TYPE repro_layers_scheduler_events_processed gauge" in prom
+
+    def test_obs_dir_without_obs_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        out_dir = tmp_path / "obs_artifacts"
+        assert main(self.RUN + ["--obs-dir", str(out_dir)]) == 0
+        assert "obs artifacts" not in capsys.readouterr().out
+        assert not out_dir.exists()

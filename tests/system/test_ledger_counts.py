@@ -8,11 +8,16 @@ one of them does.
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "ledger_counts.py"
+BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
+SCRIPT = BENCHMARKS / "ledger_counts.py"
+COMMITTED = BENCHMARKS / "ledger_counts.json"
+LEDGER_WORKLOADS = ("paper-dir", "paper-snoop", "sync-rmo", "fuzz-diff")
 
 GATED = {
     "sim.cycles": 462187,
@@ -97,7 +102,8 @@ def test_timings_and_ungated_calls_do_not_move_the_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "name", ["sim.cycles", "fuzz.outcome.agree_clean", "layer.obs.calls"]
+    "name",
+    ["sim.cycles", "oracle.events", "fuzz.outcome.agree_clean", "layer.obs.calls"],
 )
 def test_a_moved_gated_count_moves_the_output(tmp_path, capsys, name):
     before = _run(tmp_path, capsys, _report())
@@ -113,3 +119,52 @@ def test_an_untraced_report_is_refused(tmp_path, capsys):
     report["workloads"]["sync-rmo"]["per_layer"] = {}
     with pytest.raises(SystemExit, match="sync-rmo: no traced counts"):
         _run(tmp_path, capsys, report)
+
+
+def _split(key):
+    """``"paper-dir.sim.cycles"`` -> ``("paper-dir", "sim.cycles")``."""
+    workload = next(w for w in LEDGER_WORKLOADS if key.startswith(w + "."))
+    return workload, key[len(workload) + 1 :]
+
+
+def test_committed_file_covers_the_ledger_workloads():
+    counts = json.loads(COMMITTED.read_text())
+    by_workload = {}
+    for key in counts:
+        workload, name = _split(key)
+        by_workload.setdefault(workload, set()).add(name)
+    assert sorted(by_workload) == sorted(LEDGER_WORKLOADS)
+    gate = _load()
+    for names in by_workload.values():
+        assert "layer.obs.calls" in names and "sim.cycles" in names
+        assert all(
+            n.startswith(gate.GATED_PREFIXES) or n in gate.GATED_NAMES for n in names
+        )
+
+
+def test_committed_file_is_what_the_extractor_prints(tmp_path, capsys):
+    # CI diffs the two byte for byte, so layout and order matter too.
+    committed = COMMITTED.read_text()
+    report = {"seed": 2006, "workloads": {}}
+    for key, value in json.loads(committed).items():
+        workload, name = _split(key)
+        if workload not in report["workloads"]:
+            # Ungated noise only; the gated counts come from the file.
+            entry = report["workloads"][workload] = _workload()
+            for gated in GATED:
+                del entry["per_layer"][gated]
+        per_layer = report["workloads"][workload]["per_layer"]
+        per_layer[name] = {"value": value, "unit": "count"}
+    assert _run(tmp_path, capsys, report) == committed
+
+
+def test_runs_as_a_script(tmp_path, capsys):
+    expected = _run(tmp_path, capsys, _report())
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), str(tmp_path / "ledger.json")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected

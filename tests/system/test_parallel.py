@@ -1,9 +1,11 @@
 """Parallel run orchestrator: ordering, determinism, error surfacing."""
 
 import dataclasses
+import pickle
 
 import pytest
 
+from repro import obs
 from repro.common.errors import ConfigError
 from repro.config import SystemConfig
 from repro.faults.campaign import run_campaign
@@ -13,6 +15,8 @@ from repro.parallel import (
     RunMetrics,
     RunSpec,
     execute_run_spec,
+    last_run_obs,
+    pool_hub,
     resolve_jobs,
     run_points,
 )
@@ -26,6 +30,12 @@ def _double(spec):
 
 def _boom(spec):
     raise ValueError(f"boom on {spec}")
+
+
+SMALL_SPECS = [
+    RunSpec(SystemConfig.protected(num_nodes=2).with_seed(3), "oltp", 30),
+    RunSpec(SystemConfig.unprotected(num_nodes=2).with_seed(4), "jbb", 30),
+]
 
 
 class TestResolveJobs:
@@ -83,6 +93,77 @@ class TestRunPoints:
         assert metrics.cycles > 0
         assert metrics.events_processed > 0
         assert metrics.counter_sum("l1.") > 0
+
+
+class TestRunSpecsAcrossProcesses:
+    """Every run executes: no spec is served from a stored result."""
+
+    def test_run_metrics_pickle_bit_identical(self):
+        # Pool workers hand results back by pickling them.
+        fresh = execute_run_spec(SMALL_SPECS[0])
+        shipped = pickle.loads(pickle.dumps(fresh))
+        assert shipped == fresh
+        assert dataclasses.asdict(shipped) == dataclasses.asdict(fresh)
+        assert all(
+            type(v) is type(fresh.counters[k]) for k, v in shipped.counters.items()
+        )
+
+    def test_parallel_sweeps_equal_serial(self):
+        serial = run_points(SMALL_SPECS, jobs=1)
+        first = run_points(SMALL_SPECS, jobs=2)
+        again = run_points(SMALL_SPECS, jobs=2)  # the same warm pool
+        assert first == serial
+        assert again == serial
+
+    def test_retired_cache_env_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+
+        def counting_worker(spec):
+            calls.append(spec)
+            return execute_run_spec(spec)
+
+        for value in (str(tmp_path / "cache"), "1"):
+            monkeypatch.setenv("REPRO_CACHE", value)
+            run_points(SMALL_SPECS[:1], jobs=1, worker=counting_worker)
+        assert calls == SMALL_SPECS[:1] * 2
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestPoolObs:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_metrics(self, jobs):
+        run_points(list(range(5)), jobs=jobs, worker=_double)
+        batch = last_run_obs()
+        assert set(batch) == {
+            "jobs",
+            "specs",
+            "wall_s",
+            "task_s_total",
+            "task_s_max",
+            "utilization",
+        }
+        assert (batch["jobs"], batch["specs"]) == (jobs, 5)
+        assert 0 <= batch["task_s_max"] <= batch["task_s_total"]
+
+    def test_hub_is_null_until_obs_turns_on(self, monkeypatch):
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        assert pool_hub() is obs.NULL_HUB
+        monkeypatch.setenv("REPRO_OBS", "1")
+        assert pool_hub().enabled
+        assert pool_hub() is pool_hub()
+
+    def test_hub_counts_batches_and_specs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS", "1")
+        before = pool_hub().snapshot()["counters"]
+        run_points([1, 2, 3], jobs=1, worker=_double)
+        after = pool_hub().snapshot()
+        counters = after["counters"]
+        assert counters["pool.batches"] - before.get("pool.batches", 0) == 1
+        assert counters["pool.specs"] - before.get("pool.specs", 0) == 3
+        assert after["gauges"]["pool.jobs"] == 1
+        assert sorted({name.split(".")[0] for section in after.values()
+                       for name in section}) == ["pool"]
 
 
 class TestMeasureDeterminism:
