@@ -3,6 +3,7 @@
 Examples::
 
     python -m repro.cli run --workload oltp --model TSO --protocol directory
+    python -m repro.cli run --nodes 2 --ops 40 --op-trace trace.jsonl
     python -m repro.cli compare --workload slash --ops 150
     python -m repro.cli inject --fault wb-value-flip --at 4000
     python -m repro.cli campaign --workload slash --trials 2
@@ -23,7 +24,9 @@ from repro.faults.campaign import format_summary, run_campaign, summarize
 from repro.faults.injector import FaultInjector, FaultKind, FaultPlan
 from repro.system.builder import build_system
 from repro.system.experiments import measure
+from repro.verify.trace import Trace, dump_jsonl, record_program
 from repro.workloads import WORKLOAD_NAMES
+from repro.workloads.suite import make_program
 
 
 def _config(args, protected: bool) -> SystemConfig:
@@ -37,7 +40,23 @@ def _config(args, protected: bool) -> SystemConfig:
 
 def cmd_run(args) -> int:
     config = _config(args, protected=not args.unprotected)
-    system = build_system(config, workload=args.workload, ops=args.ops)
+    trace = programs = None
+    if args.op_trace:
+        # The whole op stream, recorded as the fuzz rig records it, so
+        # ``repro.cli oracle`` can decide the file.
+        trace = Trace()
+        num = config.num_nodes
+        programs = [
+            record_program(
+                n,
+                make_program(args.workload, n, num, config.model, config.seed, args.ops),
+                trace,
+            )
+            for n in range(num)
+        ]
+    system = build_system(
+        config, workload=args.workload, ops=args.ops, programs=programs, obs=args.obs
+    )
     result = system.run()
     print(f"cycles:     {result.cycles}")
     print(f"completed:  {result.completed}")
@@ -47,7 +66,11 @@ def cmd_run(args) -> int:
     if args.stats:
         for key, value in sorted(system.stats.as_dict().items()):
             print(f"  {key} = {value}")
-    if system.obs.enabled:
+    if trace is not None:
+        os.makedirs(os.path.dirname(os.path.abspath(args.op_trace)), exist_ok=True)
+        written = dump_jsonl(trace.events, args.op_trace)
+        print(f"op trace written: {args.op_trace} ({written} events)")
+    if args.obs:
         _export_obs(args, config, system)
     return 0 if result.completed and not result.violations else 1
 
@@ -63,7 +86,7 @@ def _export_obs(args, config: SystemConfig, system) -> None:
 
     snapshot = snapshot_system(system)
     print(format_phase_table(snapshot))
-    out_dir = getattr(args, "obs_dir", None)
+    out_dir = args.obs_dir
     if not out_dir:
         return
     os.makedirs(out_dir, exist_ok=True)
@@ -258,19 +281,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "one; default: REPRO_JOBS env, then 1 — except campaigns, which "
         "default to 0; single `run` invocations always execute in-process)",
     )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="enable the observability plane (sets REPRO_OBS=1 before any "
-        "system is built; results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--obs-dir",
-        default=None,
-        metavar="DIR",
-        help="with --obs on a `run`, write manifest.json, metrics.prom and "
-        "snapshot.json under DIR",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,6 +293,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run)
     run.add_argument("--unprotected", action="store_true")
     run.add_argument("--stats", action="store_true", help="dump all counters")
+    run.add_argument(
+        "--obs",
+        action="store_true",
+        help="observe the machine: print its phase breakdown (results are "
+        "bit-identical either way)",
+    )
+    run.add_argument(
+        "--obs-dir",
+        default=None,
+        metavar="DIR",
+        help="with --obs, write manifest.json, metrics.prom and "
+        "snapshot.json under DIR",
+    )
+    run.add_argument(
+        "--op-trace",
+        default=None,
+        metavar="FILE",
+        help="record every memory operation as JSONL for `repro.cli oracle` "
+        "(results are bit-identical either way)",
+    )
     run.set_defaults(fn=cmd_run)
 
     compare = sub.add_parser("compare", help="base-vs-DVMC per model")
@@ -361,9 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "obs", False):
-        # Before any build_system call, and inherited by pool workers.
-        os.environ["REPRO_OBS"] = "1"
     return args.fn(args)
 
 

@@ -335,7 +335,7 @@ class DirectoryMemoryController:
         self._post = scheduler.post
         self._cb_supply = self._supply
         self._mem_latency = config.memory.latency
-        #: Flight recorder (None unless REPRO_OBS_SPANS; see obs.spans).
+        #: Flight recorder (None unless span_sample > 0; see obs.spans).
         self.spans = None
         self._span_track = 0
 

@@ -369,7 +369,7 @@ class SnoopingMemoryController:
         self._values = stats.values
         self._cb_snoop = self._snoop
         self._cb_wb_data = self._wb_data
-        #: Flight recorder (None unless REPRO_OBS_SPANS; see obs.spans).
+        #: Flight recorder (None unless span_sample > 0; see obs.spans).
         self.spans = None
         self._span_track = 0
 

@@ -229,7 +229,7 @@ class CoherenceChecker:
         self._obs_bank_pushes = [0] * MET_BANKS
         self._obs_met_probes = 0
         self._obs_overlap_checks = 0
-        #: Flight recorder (None unless REPRO_OBS_SPANS; see obs.spans).
+        #: Flight recorder (None unless span_sample > 0; see obs.spans).
         self.spans = None
         self._span_cet_tracks: List[int] = []
         self._span_met_tracks: List[int] = []

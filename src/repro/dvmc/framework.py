@@ -73,8 +73,8 @@ class DVMC:
         """Observable interface: one view over every attached checker.
 
         Node keys are strings so the snapshot survives a JSON round
-        trip (the result cache stores ``RunMetrics.obs`` as JSON)
-        unchanged.
+        trip (``repro.cli run --obs-dir`` writes it to
+        ``snapshot.json``) unchanged.
         """
         snap: dict = {"violations": len(self.violations.reports)}
         if self.uo_checkers:

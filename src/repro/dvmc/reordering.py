@@ -86,7 +86,7 @@ class AllowableReorderingChecker:
         self._obs_drains = 0
         self._obs_drained_records = 0
         self._obs_drain_max = 0
-        #: Flight recorder (None unless REPRO_OBS_SPANS; see obs.spans).
+        #: Flight recorder (None unless span_sample > 0; see obs.spans).
         self.spans = None
         self._span_track = 0
         scheduler.post(self._interval, self._injected_membar_check)

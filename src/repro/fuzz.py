@@ -189,7 +189,7 @@ def case_programs(case: FuzzCase) -> List:
 # -- execution ---------------------------------------------------------------
 
 
-def _execute_case(case: FuzzCase, max_cycles: int):
+def _execute_case(case: FuzzCase, max_cycles: int, span_sample: int = 0):
     """Run one case through the full machine; (system, trace, result)."""
     if case.fault is not None:
         # An injected fault may legitimately hang the machine; bound
@@ -207,7 +207,7 @@ def _execute_case(case: FuzzCase, max_cycles: int):
         .with_nodes(len(programs))
         .with_seed(case.seed)
     )
-    system = build_system(config, programs=programs)
+    system = build_system(config, programs=programs, span_sample=span_sample)
     if case.fault is not None:
         injector = FaultInjector(system, seed=case.seed * 7919 + case.fault_cycle)
         injector.arm(FaultPlan(FaultKind(case.fault), case.fault_cycle))
@@ -250,28 +250,12 @@ def run_case(case: FuzzCase, max_cycles: int = 2_000_000) -> CaseResult:
 def run_case_recorded(case: FuzzCase, max_cycles: int = 2_000_000):
     """Re-run a case with the flight recorder on; (result, recorder).
 
-    Forces ``REPRO_OBS_SPANS=1`` at stride-1 sampling for the duration
-    of the run (the ambient environment is saved and restored), so the
+    The machine records at stride 1 (``span_sample=1``), so the
     recorder captures *every* operation of the shrunk reproducer.  The
     recorder never feeds back into the simulation, hence the rerun's
     verdict is bit-identical to the plain run the campaign classified.
     """
-    from repro.obs import SPANS_CAP_ENV, SPANS_ENV, SPANS_OUT_ENV, SPANS_SAMPLE_ENV
-
-    keys = (SPANS_ENV, SPANS_SAMPLE_ENV, SPANS_CAP_ENV, SPANS_OUT_ENV)
-    saved = {key: os.environ.get(key) for key in keys}
-    os.environ[SPANS_ENV] = "1"
-    os.environ[SPANS_SAMPLE_ENV] = "1"
-    os.environ.pop(SPANS_CAP_ENV, None)
-    os.environ.pop(SPANS_OUT_ENV, None)  # callers export explicitly
-    try:
-        system, trace, result = _execute_case(case, max_cycles)
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    system, trace, result = _execute_case(case, max_cycles, span_sample=1)
     return _differential(case, trace, result), system.spans
 
 
@@ -287,8 +271,6 @@ def write_forensics(
     from repro.obs.forensics import post_mortem
 
     result, recorder = run_case_recorded(case)
-    if recorder is None:  # pragma: no cover - recorder forced on above
-        return []
     os.makedirs(out_dir, exist_ok=True)
     pm_path = os.path.join(out_dir, f"{stem}.postmortem.txt")
     with open(pm_path, "w") as fh:

@@ -57,9 +57,9 @@ class Network(ABC):
         self._post_at = scheduler.post_at
         self._values = stats.values
         self._cb_deliver_batch = self._deliver_batch
-        #: Flight recorder (:mod:`repro.obs.spans`); ``None`` unless
-        #: ``REPRO_OBS_SPANS`` is set — every record site is guarded so
-        #: the disabled path costs one attribute load.
+        #: Flight recorder (:mod:`repro.obs.spans`); ``None`` unless the
+        #: machine is built with ``span_sample > 0`` — every record site
+        #: is guarded so the disabled path costs one attribute load.
         self.spans = None
         self._span_track = 0
 

@@ -1,10 +1,15 @@
-"""Observability plane: metrics, phase timing, exporters, event traces.
+"""Observability plane: metrics, phase timing, exporters, span recorder.
 
 Everything here is *off by default* and guaranteed not to change
-simulation results: a run with ``REPRO_OBS=1`` produces bit-identical
-violations and statistics to the same run without it (asserted by
-``tests/integration/test_obs_identity.py`` and by the performance
-benchmark's extra obs pass).
+simulation results.  Observability belongs to one machine and is set
+when it is built: ``build_system(..., obs=True)`` gives it a metrics
+hub and a phase timer, and ``build_system(..., span_sample=N)`` a
+flight recorder.  An observed or recorded run produces bit-identical
+violations and statistics to the same run without either (asserted by
+``tests/integration/test_obs_identity.py`` and
+``tests/integration/test_spans_identity.py``); the ledger's exact
+``layer.obs.calls`` count gate keeps the disabled path's cost fixed
+per machine built.
 
 Layout:
 
@@ -17,27 +22,22 @@ Layout:
   exporter (imported on demand; no cost on the simulation path).
 * :mod:`repro.obs.manifest` — per-run provenance manifest (config
   hash, seed, git sha, python/platform).
-* :mod:`repro.obs.otrace` — ring-buffer backed sampled JSONL event
-  trace (``REPRO_OBS_TRACE=path``).
-* :mod:`repro.obs.spans` — transaction flight recorder
-  (``REPRO_OBS_SPANS=1``): ints-only causal spans following each
-  memory operation across core, write buffer, caches, interconnect,
-  directory/snooping homes, SafetyNet and the DVMC checkers.
+* :mod:`repro.obs.spans` — transaction flight recorder: ints-only
+  causal spans following each memory operation across core, write
+  buffer, caches, interconnect, directory/snooping homes, SafetyNet
+  and the DVMC checkers.
 * :mod:`repro.obs.chrome_trace` — Chrome/Perfetto ``trace_event``
   JSON exporter for recorded spans (open in ``chrome://tracing``).
 * :mod:`repro.obs.forensics` — violation post-mortems: walks the
   recorder backwards from a violating operation and extracts the
   minimal causal slice (``repro.cli explain``).
 
-Enablement: ``REPRO_OBS=1`` in the environment (worker processes
-inherit it) or ``--obs`` on the CLI, which sets the variable before
-any system is built.  ``REPRO_OBS_TRACE=path`` additionally records a
-sampled memory-operation trace regardless of ``REPRO_OBS``.
+The full memory-operation stream for the offline oracle is recorded
+by :func:`repro.verify.trace.record_program` (``repro.cli run
+--op-trace FILE``), not by this package.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.obs.hub import (
     Counter,
@@ -50,65 +50,6 @@ from repro.obs.hub import (
 )
 from repro.obs.phases import NULL_TIMER, NullPhaseTimer, PhaseTimer
 
-#: Environment variable enabling the metrics/phase plane.
-OBS_ENV = "REPRO_OBS"
-#: Environment variable naming the JSONL event-trace output path.
-TRACE_ENV = "REPRO_OBS_TRACE"
-#: Ring capacity (records kept) for the event trace.
-TRACE_CAP_ENV = "REPRO_OBS_TRACE_CAP"
-#: Sampling stride for the event trace (keep every Nth operation).
-TRACE_SAMPLE_ENV = "REPRO_OBS_TRACE_SAMPLE"
-#: Environment variable enabling the transaction flight recorder.
-SPANS_ENV = "REPRO_OBS_SPANS"
-#: Ring capacity (closed spans kept) for the flight recorder.
-SPANS_CAP_ENV = "REPRO_OBS_SPANS_CAP"
-#: Sampling stride for the flight recorder (trace every Nth operation).
-SPANS_SAMPLE_ENV = "REPRO_OBS_SPANS_SAMPLE"
-#: Chrome trace_event JSON output path for the flight recorder.
-SPANS_OUT_ENV = "REPRO_OBS_SPANS_OUT"
-
-_FALSEY = ("", "0", "false", "no", "off")
-
-
-def enabled() -> bool:
-    """Whether the observability plane is on (``REPRO_OBS``)."""
-    return os.environ.get(OBS_ENV, "").strip().lower() not in _FALSEY
-
-
-def trace_path() -> str:
-    """The event-trace output path, or "" when tracing is off."""
-    return os.environ.get(TRACE_ENV, "").strip()
-
-
-def spans_enabled() -> bool:
-    """Whether the transaction flight recorder is on (``REPRO_OBS_SPANS``)."""
-    return os.environ.get(SPANS_ENV, "").strip().lower() not in _FALSEY
-
-
-def spans_out_path() -> str:
-    """The Chrome-trace output path for recorded spans, or ""."""
-    return os.environ.get(SPANS_OUT_ENV, "").strip()
-
-
-def new_span_recorder():
-    """A :class:`~repro.obs.spans.SpanRecorder` when enabled, else None."""
-    if not spans_enabled():
-        return None
-    from repro.obs.spans import SpanRecorder
-
-    return SpanRecorder.from_env()
-
-
-def new_hub() -> "MetricsHub | NullHub":
-    """A hub for one system: real when enabled, the null hub otherwise."""
-    return MetricsHub() if enabled() else NULL_HUB
-
-
-def new_phase_timer() -> "PhaseTimer | NullPhaseTimer":
-    """A phase timer for one system, null when disabled."""
-    return PhaseTimer() if enabled() else NULL_TIMER
-
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -118,21 +59,6 @@ __all__ = [
     "NULL_TIMER",
     "NullHub",
     "NullPhaseTimer",
-    "OBS_ENV",
     "ObsHistogram",
     "PhaseTimer",
-    "SPANS_CAP_ENV",
-    "SPANS_ENV",
-    "SPANS_OUT_ENV",
-    "SPANS_SAMPLE_ENV",
-    "TRACE_CAP_ENV",
-    "TRACE_ENV",
-    "TRACE_SAMPLE_ENV",
-    "enabled",
-    "new_hub",
-    "new_phase_timer",
-    "new_span_recorder",
-    "spans_enabled",
-    "spans_out_path",
-    "trace_path",
 ]

@@ -5,10 +5,10 @@ layer exposes its own ``obs_snapshot()`` (scheduler, networks, cache
 arrays, DVMC checkers — the RealityCheck argument that a verification
 stack scales only when every layer is independently observable), and
 the snapshot combines those with the push-side :class:`~repro.obs.hub.
-MetricsHub` instruments and the phase timer.  The result is a plain
-JSON-safe dict, merged into :class:`~repro.parallel.RunMetrics` as its
-``obs`` field (excluded from equality, so observed and unobserved runs
-still compare bit-identical on the deterministic payload).
+MetricsHub` instruments and the phase timer of a machine built with
+``obs=True``.  The result is a plain JSON-safe dict that ``repro.cli
+run --obs`` prints as a phase table and ``--obs-dir`` writes as
+``snapshot.json``; taking it never changes the run.
 
 ``to_prometheus`` renders a snapshot in the Prometheus text exposition
 format (counters/gauges plus ``_count``/``_sum``/``_min``/``_max``
@@ -47,8 +47,6 @@ def snapshot_system(system) -> Dict[str, Any]:
     }
     layers["dvmc"] = system.dvmc.obs_snapshot()
     layers["wakeups"] = system.wake_hub.obs_snapshot()
-    if system.obs_trace is not None:
-        layers["trace"] = system.obs_trace.stats()
     snap["layers"] = layers
     return snap
 

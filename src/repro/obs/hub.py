@@ -12,8 +12,9 @@ sides together at snapshot time.
 Cost model: when observability is disabled (the default) components
 hold the module-level no-op instruments below, so the hot paths pay at
 most a single attribute test.  The real instruments are plain
-``__slots__`` objects whose update is one attribute add — cheap enough
-that the benchmark gates total obs overhead at a few percent.
+``__slots__`` objects whose update is one attribute add.  The ledger's
+exact ``layer.obs.calls`` count gate keeps the disabled path's cost a
+fixed number of calls per machine built.
 """
 
 from __future__ import annotations

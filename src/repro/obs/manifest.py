@@ -26,35 +26,7 @@ import sys
 from typing import Any, Dict, Optional
 
 #: Bumped when the manifest layout changes incompatibly.
-SCHEMA_VERSION = 4
-
-
-def regime_flags(environ: Optional[Dict[str, str]] = None) -> Dict[str, Any]:
-    """Resolved execution-regime switches, as the builders interpret them.
-
-    Records the *effective* settings (defaults applied), not the raw
-    environment, so a manifest pins the regime a result was produced
-    under even when the variables were unset: the observability
-    plane's three layers (counter hub, event trace ring, span flight
-    recorder).  Deterministic for a fixed environment.
-    """
-    from repro.obs import _FALSEY
-
-    env = os.environ if environ is None else environ
-
-    def _get(name: str, default: str = "") -> str:
-        return env.get(name, default)
-
-    def _truthy(name: str) -> bool:
-        return _get(name).strip().lower() not in _FALSEY
-
-    return {
-        "obs": _truthy("REPRO_OBS"),
-        "obs_trace": bool(_get("REPRO_OBS_TRACE").strip()),
-        "obs_spans": _truthy("REPRO_OBS_SPANS"),
-        "obs_spans_cap": _get("REPRO_OBS_SPANS_CAP").strip() or None,
-        "obs_spans_sample": _get("REPRO_OBS_SPANS_SAMPLE").strip() or None,
-    }
+SCHEMA_VERSION = 5
 
 
 def _json_default(obj: Any) -> str:
@@ -138,7 +110,6 @@ def run_manifest(
         "seed": seed,
         "git_sha": git_sha(),
         "code_fingerprint": code_fingerprint(),
-        "regimes": regime_flags(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),

@@ -1,23 +1,23 @@
 """Transaction flight recorder: ints-only causal spans per memory op.
 
-With ``REPRO_OBS_SPANS=1`` every sampled memory operation is assigned
-a **trace id** at issue (``processor/core.py``) and child spans are
-opened/closed at every hand-off the transaction makes on its way
-through the machine: write-buffer residency, cache-controller MSHR
-lifetime, per-link express-plane reservations and message flights,
-directory/snooping ownership transitions, SafetyNet checkpoints, and
-finally the DVMC verdicts (AR reorder check, UO commit/replay, CC
-epoch + MET processing).
+On a machine built with ``build_system(..., span_sample=N)`` every
+sampled memory operation (every Nth) is assigned a **trace id** at
+issue (``processor/core.py``) and child spans are opened/closed at
+every hand-off the transaction makes on its way through the machine:
+write-buffer residency, cache-controller MSHR lifetime, per-link
+express-plane reservations and message flights, directory/snooping
+ownership transitions, SafetyNet checkpoints, and finally the DVMC
+verdicts (AR reorder check, UO commit/replay, CC epoch + MET
+processing).
 
 The storage discipline follows :class:`repro.dvmc.streaming.OpLog`:
 records are flat integers in geometrically grown parallel arrays, closed
 spans land in a ring that keeps the *last* ``capacity`` records (the
 tail right before a violation is what forensics wants), and op
-sampling (``REPRO_OBS_SPANS_SAMPLE=N``) bounds enabled-path cost.
-Recording never feeds back into the simulation: a recorder-on run is
-bit-identical to a recorder-off run (asserted by
-``tests/integration/test_spans_identity.py`` and the benchmark's
-``spans`` pass).
+sampling bounds enabled-path cost.  Recording never feeds back into
+the simulation: a recorder-on run is bit-identical to a recorder-off
+run at every stride (asserted by
+``tests/integration/test_spans_identity.py``).
 
 Consumers: :mod:`repro.obs.chrome_trace` (Perfetto export) and
 :mod:`repro.obs.forensics` (violation post-mortems).
@@ -25,25 +25,13 @@ Consumers: :mod:`repro.obs.chrome_trace` (Perfetto export) and
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Tuple
-
-from repro.obs import SPANS_CAP_ENV, SPANS_SAMPLE_ENV
+from typing import Dict, List, Tuple
 
 #: Default ring capacity (closed spans kept).
 DEFAULT_CAPACITY = 65536
 #: First ring allocation (slots); the ring starts empty and grows
 #: geometrically from here up to ``capacity`` as spans are emitted.
 _GROW_MIN = 256
-#: Default op sampling stride (trace every Nth operation).  Forensic
-#: reruns (``repro.cli explain``, the fuzz rig) set stride 1 to record
-#: everything; the default keeps the always-on cost bounded (gated at
-#: ≤3% by the benchmark's ``span_overhead_pct``).  Infrastructure
-#: spans that belong to no operation (coherence epochs, MET informs,
-#: unsampled ownership transitions, checkpoints) are only recorded at
-#: stride 1 — under sampling they would be pure ring pressure with no
-#: sampled transaction to join against.
-DEFAULT_SAMPLE = 64
 
 # -- span kind codes (the ``kind`` column) ----------------------------------
 K_OP = 0  #: root span: one memory operation     a=op class  b=addr  c=seq
@@ -80,17 +68,6 @@ KIND_NAMES = (
 
 #: ``c`` column of :data:`K_VIOL` records.
 CHECKER_CODES = {"AR": 1, "UO": 2, "CC": 3}
-
-
-def _env_int(name: str, default: int, floor: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= floor else floor
 
 
 class SpanRecorder:
@@ -190,14 +167,6 @@ class SpanRecorder:
         self._seqmap: Dict[int, int] = {}
         self._tracks: Dict[str, int] = {}
         self._track_list: List[str] = []
-
-    @classmethod
-    def from_env(cls) -> "SpanRecorder":
-        """Recorder sized by ``REPRO_OBS_SPANS_CAP`` / ``_SAMPLE``."""
-        return cls(
-            capacity=_env_int(SPANS_CAP_ENV, DEFAULT_CAPACITY, 16),
-            sample=_env_int(SPANS_SAMPLE_ENV, DEFAULT_SAMPLE, 1),
-        )
 
     # -- tracks -------------------------------------------------------------
 
@@ -403,8 +372,3 @@ class SpanRecorder:
             "tracks": len(self._track_list),
             "violations": len(self.violations),
         }
-
-
-def maybe_recorder(system) -> Optional[SpanRecorder]:
-    """The system's recorder, or None (works on any builder output)."""
-    return getattr(system, "spans", None)

@@ -35,7 +35,7 @@ fr rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.types import word_of
 from repro.consistency.models import ConsistencyModel

@@ -69,11 +69,6 @@ class RunMetrics:
     violations: int
     events_processed: int
     counters: Dict[str, int] = field(default_factory=dict)
-    #: Observability snapshot (``REPRO_OBS=1``), or None.  Excluded
-    #: from equality and repr: the deterministic payload above must
-    #: compare bit-identical whether or not a run was observed, and
-    #: the snapshot carries wall-clock phase timings that never repeat.
-    obs: Optional[Dict] = field(default=None, compare=False, repr=False)
 
     def counter_sum(self, prefix: str) -> int:
         """Sum of counters under ``prefix`` (StatsRegistry.sum analogue)."""
@@ -109,18 +104,12 @@ def execute_run_spec(spec: RunSpec) -> RunMetrics:
 
     system = build_system(spec.config, workload=spec.workload, ops=spec.ops)
     result = system.run(max_cycles=spec.max_cycles)
-    obs_snap = None
-    if system.obs.enabled or system.obs_trace is not None:
-        from repro.obs.export import snapshot_system
-
-        obs_snap = snapshot_system(system)
     return RunMetrics(
         cycles=result.cycles,
         completed=result.completed,
         violations=len(result.violations),
         events_processed=system.scheduler.events_processed,
         counters=system.stats.counters(),
-        obs=obs_snap,
     )
 
 
@@ -213,33 +202,14 @@ def _indexed_call(item: Tuple[int, Callable, object]):
 # ---------------------------------------------------------------------------
 
 _last_obs: Optional[Dict] = None
-_pool_hub = None
-
-
-def pool_hub():
-    """The orchestrator-side :class:`~repro.obs.hub.MetricsHub`.
-
-    Re-evaluates ``REPRO_OBS`` on every call, so one process can run
-    batches with observability off and on: disabled callers always get
-    the shared null hub, and a stale null hub is replaced the moment
-    observability turns on.
-    """
-    global _pool_hub
-    from repro import obs
-
-    if not obs.enabled():
-        return obs.NULL_HUB
-    if _pool_hub is None or not _pool_hub.enabled:
-        _pool_hub = obs.new_hub()
-    return _pool_hub
 
 
 def last_run_obs() -> Optional[Dict]:
     """Pool view of the most recent :func:`run_points` batch.
 
-    Plain data (jobs, wall seconds, per-task seconds, utilization) —
-    independent of the per-run ``RunMetrics.obs`` snapshots, which
-    describe the simulated systems themselves.
+    Plain data (jobs, wall seconds, per-task seconds, utilization),
+    recorded for every batch; it describes the pool, never the
+    simulated systems.
     """
     return dict(_last_obs) if _last_obs is not None else None
 
@@ -247,7 +217,7 @@ def last_run_obs() -> Optional[Dict]:
 def _note_execution(
     jobs: int, wall_s: float, latencies: List[float]
 ) -> None:
-    """Record one batch's pool metrics (obs plane; results untouched)."""
+    """Record one batch's pool metrics (results untouched)."""
     global _last_obs
     task_s = sum(latencies)
     busy = wall_s * jobs
@@ -259,15 +229,6 @@ def _note_execution(
         "task_s_max": max(latencies, default=0.0),
         "utilization": (task_s / busy) if busy > 0 else 0.0,
     }
-    hub = pool_hub()
-    if hub.enabled:
-        hub.counter("pool.batches").add(1)
-        hub.counter("pool.specs").add(len(latencies))
-        hub.gauge("pool.jobs").set(jobs)
-        hub.gauge("pool.utilization").set(_last_obs["utilization"])
-        task_hist = hub.histogram("pool.task_s")
-        for elapsed in latencies:
-            task_hist.record(elapsed)
 
 
 # ---------------------------------------------------------------------------

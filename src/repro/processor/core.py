@@ -256,7 +256,7 @@ class Core:
         #: Fault injection: XOR applied to the next load's bound value
         #: (models LSQ mis-forwarding / load reordering errors).
         self.fault_load_value_xor: Optional[int] = None
-        #: Transaction flight recorder (``REPRO_OBS_SPANS=1``), wired by
+        #: Transaction flight recorder (``span_sample > 0``), wired by
         #: the builder; None costs one attribute load per guarded site.
         self.spans = None
         self._span_track = 0

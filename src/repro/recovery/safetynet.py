@@ -66,7 +66,7 @@ class SafetyNet:
         self._send = send  # optional: callable(Message) for ckpt traffic
         self._checkpoints: Deque[Checkpoint] = deque()
         self._next_index = 0
-        #: Flight recorder (None unless REPRO_OBS_SPANS; see obs.spans).
+        #: Flight recorder (None unless span_sample > 0; see obs.spans).
         self.spans = None
         self._span_track = 0
         self._open_checkpoint()

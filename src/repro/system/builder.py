@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro import obs
 from repro.common.errors import ConfigError, DeadlockError
 from repro.common.events import Scheduler
 from repro.common.logical_time import (
@@ -44,6 +43,8 @@ from repro.interconnect.message import Message, release as release_message
 from repro.interconnect.torus import TorusNetwork
 from repro.memory.cache import CacheArray
 from repro.memory.memory import MainMemory
+from repro.obs import NULL_HUB, NULL_TIMER, MetricsHub, PhaseTimer
+from repro.obs.spans import SpanRecorder
 from repro.processor.core import Core
 from repro.recovery.safetynet import SafetyNet
 from repro.workloads.suite import make_program
@@ -100,16 +101,13 @@ class System:
         #: Callbacks invoked after every :meth:`run` returns, e.g. a
         #: fault injector flushing a still-pending plan as not-landed.
         self.finalizers: List[Callable[[], None]] = []
-        #: Observability plane (null objects unless ``REPRO_OBS`` is
-        #: set when :func:`build_system` runs; never feeds back into
-        #: the simulation).
-        self.obs = obs.NULL_HUB
-        self.obs_phases = obs.NULL_TIMER
-        self.obs_trace = None  # TraceRing when REPRO_OBS_TRACE is set
-        self._obs_trace_path: Optional[str] = None
-        #: Transaction flight recorder (SpanRecorder when
-        #: ``REPRO_OBS_SPANS`` is set; never feeds back into the run).
-        self.spans = None
+        #: Observability plane (null objects unless built with
+        #: ``obs=True``; never feeds back into the simulation).
+        self.obs = NULL_HUB
+        self.obs_phases = NULL_TIMER
+        #: Transaction flight recorder (a SpanRecorder when built with
+        #: ``span_sample > 0``; never feeds back into the run).
+        self.spans: Optional[SpanRecorder] = None
 
     # -- address interleaving ------------------------------------------------
     def home_of(self, addr: int) -> int:
@@ -162,15 +160,8 @@ class System:
                     len(self.dvmc.violations)
                 )
                 self.obs.gauge("run.cycles").set(self.scheduler.now)
-            if self.obs_trace is not None and self._obs_trace_path:
-                self.obs_trace.write_jsonl(self._obs_trace_path)
             if self.spans is not None:
                 self.spans.finalize(self.scheduler.now)
-                spans_out = obs.spans_out_path()
-                if spans_out:
-                    from repro.obs.chrome_trace import write_chrome_trace
-
-                    write_chrome_trace(spans_out, self.spans)
         if not result.completed and not allow_incomplete:
             stuck = [c.node for c in self.cores if not c.quiescent]
             raise DeadlockError(
@@ -258,6 +249,9 @@ def build_system(
     workload: str = "oltp",
     ops: int = 400,
     programs: Optional[List] = None,
+    *,
+    obs: bool = False,
+    span_sample: int = 0,
 ) -> System:
     """Construct a complete machine.
 
@@ -268,25 +262,30 @@ def build_system(
         ops: approximate per-core operation count for the workload.
         programs: optional explicit per-core generator list (length
             ``config.num_nodes``) for custom programs and litmus tests.
+        obs: give the machine a metrics hub, a phase timer and the
+            kernel and checker obs counters.
+        span_sample: flight recorder stride: 0 records nothing, N
+            records every Nth memory operation, and 1 records every
+            operation plus the infrastructure spans that belong to
+            none.
+
+    Neither option changes the simulated run: an observed or recorded
+    machine produces the same cycles, violations and counters.
     """
+    if span_sample < 0:
+        raise ConfigError(f"span_sample must be >= 0, got {span_sample}")
     system = System(config)
     sched = system.scheduler
     stats = system.stats
     hooks = system.hooks
     num = config.num_nodes
 
-    # Observability (REPRO_OBS / REPRO_OBS_TRACE) -------------------------
-    if obs.enabled():
-        system.obs = obs.new_hub()
-        system.obs_phases = obs.new_phase_timer()
+    # Observability -------------------------------------------------------
+    if obs:
+        system.obs = MetricsHub()
+        system.obs_phases = PhaseTimer()
         sched.attach_obs()
-    trace_dest = obs.trace_path()
-    if trace_dest:
-        from repro.obs.otrace import TraceRing
-
-        system.obs_trace = TraceRing.from_env()
-        system._obs_trace_path = trace_dest
-    spans = obs.new_span_recorder()
+    spans = SpanRecorder(sample=span_sample) if span_sample else None
     system.spans = spans
 
     # Memories -----------------------------------------------------------
@@ -377,12 +376,6 @@ def build_system(
                 workload, n, num, config.model, config.seed, ops
             )
         )
-        if system.obs_trace is not None:
-            from repro.verify.trace import record_program
-
-            # Transparent generator wrapper: forwards every operation
-            # and result unchanged, sampling into the obs trace ring.
-            program = record_program(n, program, system.obs_trace)
         core = Core(
             n,
             sched,
@@ -431,10 +424,10 @@ def build_system(
     hooks.on_invalidation(
         lambda node, block: system.cores[node].on_invalidation(block)
     )
-    if system.obs.enabled:
+    if obs:
         system.dvmc.attach_obs()
 
-    # Flight recorder (REPRO_OBS_SPANS) --------------------------------
+    # Flight recorder --------------------------------------------------
     # Attached last, in a fixed order, so track ids are deterministic
     # across runs; every record site is guarded by a ``spans is None``
     # check, keeping the disabled path to one attribute load.

@@ -103,22 +103,6 @@ def aggregate_metrics(
     )
 
 
-def merge_obs_phases(metrics: Sequence[RunMetrics]) -> Dict[str, float]:
-    """Fold per-replica obs phase timings into one exclusive-seconds map.
-
-    Replicas with no snapshot (obs disabled) contribute nothing; an
-    empty dict means no replica was observed.
-    """
-    merged: Dict[str, float] = {}
-    for m in metrics:
-        snap = getattr(m, "obs", None)
-        if not snap:
-            continue
-        for name, secs in snap.get("phases", {}).get("exclusive", {}).items():
-            merged[name] = merged.get(name, 0.0) + secs
-    return merged
-
-
 def measure(
     config: SystemConfig,
     workload: str,

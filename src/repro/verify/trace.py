@@ -81,9 +81,9 @@ class TraceEvent:
 
 
 # -- JSONL codec -----------------------------------------------------------
-# Shared by the offline oracle and the observability plane's sampled
-# event trace (repro.obs.otrace): one JSON object per line, stable key
-# order, round-trip exact (the obs tests assert load(dump(t)) == t).
+# Shared by the offline oracle and ``repro.cli run --op-trace``: one JSON
+# object per line, stable key order, round-trip exact (the codec tests
+# assert load(dump(t)) == t).
 
 _EVENT_FIELDS = ("core", "index", "kind", "addr", "value", "old_value", "mask")
 

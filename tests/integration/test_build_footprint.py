@@ -10,7 +10,6 @@ deterministic.
 """
 
 import gc
-import os
 import tracemalloc
 
 from repro.config import SystemConfig
@@ -35,10 +34,7 @@ def _retained_kib(config):
     return retained / 1024
 
 
-def test_fresh_protected_machine_retains_little(monkeypatch):
-    for name in list(os.environ):
-        if name.startswith("REPRO_"):
-            monkeypatch.delenv(name)
+def test_fresh_protected_machine_retains_little():
     config = SystemConfig.protected().with_nodes(4).with_seed(1)
     kib = _retained_kib(config)
     assert kib <= BUDGET_KIB, f"fresh 4-node machine retains {kib:.0f} KiB"

@@ -23,14 +23,7 @@ def test_corpus_is_present():
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.rsplit("/", 1)[-1])
-def test_explain_names_op_block_and_related(path, capsys, monkeypatch):
-    for var in (
-        "REPRO_OBS_SPANS",
-        "REPRO_OBS_SPANS_CAP",
-        "REPRO_OBS_SPANS_SAMPLE",
-        "REPRO_OBS_SPANS_OUT",
-    ):
-        monkeypatch.delenv(var, raising=False)
+def test_explain_names_op_block_and_related(path, capsys):
     assert cli.main(["explain", path]) == 0
     out = capsys.readouterr().out
 

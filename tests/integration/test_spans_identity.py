@@ -1,72 +1,45 @@
 """Flight-recorder identity: recorder on == recorder off, bit for bit.
 
-The acceptance property of the transaction flight recorder (and the
-reason the benchmark's ``spans_identical`` flag exists): enabling
-``REPRO_OBS_SPANS`` — at any sampling stride — yields the same cycle
+The acceptance property of the transaction flight recorder: a machine
+built with ``span_sample=N`` — at any stride — yields the same cycle
 count, the same violations, and the same value for every stats counter
 as a plain run.  The recorder observes hand-offs; it never sits on
-them.
+them.  These tier-1 tests check it directly; the ledger's exact
+``layer.obs.calls`` count gate keeps the recorder-off path's cost
+fixed.
 """
 
 import pytest
 
 from repro.config import ProtocolKind, SystemConfig
 from repro.consistency.models import ConsistencyModel
-from repro.parallel import RunSpec, execute_run_spec
+from repro.parallel import RunSpec
+
+from tests.integration.test_obs_identity import run_payload
 
 MODELS = [ConsistencyModel.SC, ConsistencyModel.TSO, ConsistencyModel.RMO]
 
-SPAN_ENV_VARS = (
-    "REPRO_OBS_SPANS",
-    "REPRO_OBS_SPANS_CAP",
-    "REPRO_OBS_SPANS_SAMPLE",
-    "REPRO_OBS_SPANS_OUT",
-)
 
-
-def run_mode(spec, monkeypatch, spans: bool, sample: str = "1"):
-    for var in SPAN_ENV_VARS:
-        monkeypatch.delenv(var, raising=False)
-    if spans:
-        monkeypatch.setenv("REPRO_OBS_SPANS", "1")
-        monkeypatch.setenv("REPRO_OBS_SPANS_SAMPLE", sample)
-    return execute_run_spec(spec)
+def run_mode(spec, span_sample: int = 0):
+    """The deterministic payload of one run of ``spec``."""
+    system, payload = run_payload(spec, span_sample=span_sample)
+    assert (system.spans is not None) == (span_sample > 0)
+    return payload
 
 
 class TestSpansIdentity:
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
     @pytest.mark.parametrize("model", MODELS)
-    def test_recorder_identical_across_protocol_and_model(
-        self, protocol, model, monkeypatch
-    ):
-        spec = RunSpec(
-            SystemConfig.protected(
-                protocol=protocol, model=model, num_nodes=4
-            ).with_seed(7),
-            "oltp",
-            40,
-        )
-        base = run_mode(spec, monkeypatch, spans=False)
-        recorded = run_mode(spec, monkeypatch, spans=True)
+    def test_recorder_identical_across_protocol_and_model(self, protocol, model):
+        config = SystemConfig.protected(protocol=protocol, model=model, num_nodes=4)
+        spec = RunSpec(config.with_seed(7), "oltp", 40)
         # Full deterministic payload: cycles, completion, violations,
-        # events and every stats counter (RunMetrics equality; the obs
-        # field is excluded by design).
-        assert base == recorded
-        assert base.counters == recorded.counters
+        # events and every stats counter.
+        assert run_mode(spec) == run_mode(spec, span_sample=1)
 
-    @pytest.mark.parametrize("sample", ["1", "16", "1000000"])
-    def test_recorder_identical_at_any_stride(self, sample, monkeypatch):
+    @pytest.mark.parametrize("sample", [1, 16, 1000000])
+    def test_recorder_identical_at_any_stride(self, sample):
         spec = RunSpec(SystemConfig.protected().with_seed(3), "oltp", 80)
-        base = run_mode(spec, monkeypatch, spans=False)
-        recorded = run_mode(spec, monkeypatch, spans=True, sample=sample)
+        base = run_mode(spec)
+        recorded = run_mode(spec, span_sample=sample)
         assert base == recorded
-
-    def test_chrome_export_is_transparent(self, monkeypatch, tmp_path):
-        spec = RunSpec(SystemConfig.protected().with_seed(3), "oltp", 80)
-        base = run_mode(spec, monkeypatch, spans=False)
-        out = tmp_path / "trace.json"
-        monkeypatch.setenv("REPRO_OBS_SPANS", "1")
-        monkeypatch.setenv("REPRO_OBS_SPANS_OUT", str(out))
-        recorded = execute_run_spec(spec)
-        assert base == recorded
-        assert out.exists()

@@ -45,7 +45,7 @@ WAKE_EVENT_SHARE = 0.65
 
 def stripped(metrics):
     """RunMetrics minus the fields wake mode is allowed to change."""
-    return dataclasses.replace(metrics, events_processed=0, obs=None)
+    return dataclasses.replace(metrics, events_processed=0)
 
 
 def use_hub(monkeypatch, poll: bool):

@@ -8,7 +8,6 @@ from repro.obs.manifest import (
     SCHEMA_VERSION,
     code_fingerprint,
     config_hash,
-    regime_flags,
     run_manifest,
     write_manifest,
 )
@@ -108,18 +107,6 @@ class TestRunManifest:
     def test_extra_entries_are_kept_verbatim(self):
         manifest = run_manifest(extra={"pass": "bench", "jobs": 2})
         assert manifest["extra"] == {"pass": "bench", "jobs": 2}
-
-    def test_regime_flag_keys(self):
-        # Only switches a builder still reads; a retired regime leaves
-        # the manifest with its flag (and bumps SCHEMA_VERSION).
-        assert set(regime_flags({})) == {
-            "obs",
-            "obs_trace",
-            "obs_spans",
-            "obs_spans_cap",
-            "obs_spans_sample",
-        }
-        assert run_manifest()["regimes"] == regime_flags()
 
     def test_json_safe(self):
         manifest = run_manifest(SystemConfig.protected(), workload="jbb")

@@ -7,7 +7,7 @@ Two layers of properties:
   closed or force-closed, ring accounting balances, sampling admits
   exactly every Nth op, and the Chrome export round-trips through
   ``json``.
-* **Whole-system** (parametrized over protocol x model x wake/poll):
+* **Whole-system** (parametrized over protocol x model):
   a recorded run leaves no dangling spans, every child span nests
   inside its transaction's root interval, trace ids are unique, and
   the exported trace is valid Chrome ``trace_event`` JSON.
@@ -22,15 +22,8 @@ from hypothesis import strategies as st
 from repro.config import ProtocolKind, SystemConfig
 from repro.consistency.models import ConsistencyModel
 from repro.obs.chrome_trace import to_chrome_trace, write_chrome_trace
-from repro.obs.spans import K_MSHR, K_OP, K_WB, SpanRecorder
+from repro.obs.spans import K_MSHR, K_WB, SpanRecorder
 from repro.system.builder import build_system
-
-SPAN_ENV_VARS = (
-    "REPRO_OBS_SPANS",
-    "REPRO_OBS_SPANS_CAP",
-    "REPRO_OBS_SPANS_SAMPLE",
-    "REPRO_OBS_SPANS_OUT",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +145,13 @@ REGIMES = [
 ]
 
 
-def recorded_run(monkeypatch, protocol, model, extra_env=None):
-    for var in SPAN_ENV_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("REPRO_OBS_SPANS", "1")
-    monkeypatch.setenv("REPRO_OBS_SPANS_SAMPLE", "1")
-    for key, value in (extra_env or {}).items():
-        monkeypatch.setenv(key, value)
+def recorded_run(protocol, model, **build_kwargs):
     config = SystemConfig.protected(
         protocol=protocol, model=model, num_nodes=4
     ).with_seed(11)
-    system = build_system(config, workload="oltp", ops=30)
+    system = build_system(
+        config, workload="oltp", ops=30, span_sample=1, **build_kwargs
+    )
     system.run()
     return system.spans
 
@@ -190,23 +179,16 @@ def assert_wellformed(rec):
 class TestSystemSpanWellformedness:
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
     @pytest.mark.parametrize("model", MODELS)
-    def test_protocol_model_grid(self, monkeypatch, protocol, model):
-        assert_wellformed(recorded_run(monkeypatch, protocol, model))
+    def test_protocol_model_grid(self, protocol, model):
+        assert_wellformed(recorded_run(protocol, model))
 
-    @pytest.mark.parametrize("name,env", REGIMES)
-    def test_execution_regimes(self, monkeypatch, name, env):
-        rec = recorded_run(
-            monkeypatch,
-            ProtocolKind.DIRECTORY,
-            ConsistencyModel.TSO,
-            extra_env=env,
-        )
+    @pytest.mark.parametrize("name,build_kwargs", REGIMES)
+    def test_execution_regimes(self, name, build_kwargs):
+        rec = recorded_run(ProtocolKind.DIRECTORY, ConsistencyModel.TSO, **build_kwargs)
         assert_wellformed(rec)
 
-    def test_chrome_export_round_trips(self, monkeypatch, tmp_path):
-        rec = recorded_run(
-            monkeypatch, ProtocolKind.DIRECTORY, ConsistencyModel.TSO
-        )
+    def test_chrome_export_round_trips(self, tmp_path):
+        rec = recorded_run(ProtocolKind.DIRECTORY, ConsistencyModel.TSO)
         out = tmp_path / "trace.json"
         written = write_chrome_trace(str(out), rec)
         trace = json.loads(out.read_text())
@@ -230,13 +212,9 @@ class TestSystemSpanWellformedness:
         ]
         assert len(ops) == len(rec.op_spans())
 
-    def test_sampled_run_stays_wellformed(self, monkeypatch):
-        for var in SPAN_ENV_VARS:
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("REPRO_OBS_SPANS", "1")
-        monkeypatch.setenv("REPRO_OBS_SPANS_SAMPLE", "16")
+    def test_sampled_run_stays_wellformed(self):
         config = SystemConfig.protected(num_nodes=4).with_seed(11)
-        system = build_system(config, workload="oltp", ops=30)
+        system = build_system(config, workload="oltp", ops=30, span_sample=16)
         system.run()
         rec = system.spans
         assert rec is not None and not rec.trace_infra

@@ -52,6 +52,11 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             SystemConfig(block_size=48).validate()
 
+    def test_negative_span_sample_is_refused(self):
+        config = SystemConfig(num_nodes=2)
+        with pytest.raises(ConfigError, match="span_sample"):
+            build_system(config, programs=[idle_program(), idle_program()], span_sample=-1)
+
 
 class TestRunLoop:
     def test_completes_and_reports(self):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import _config, build_parser, main
 from repro.obs.manifest import code_fingerprint, config_hash
+from repro.verify.trace import load_jsonl
 
 
 class TestParser:
@@ -33,6 +34,14 @@ class TestParser:
                 build_parser().parse_args([command, flag])
             assert excinfo.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare", "inject", "campaign"])
+    def test_obs_flags_belong_to_run(self, command, capsys):
+        for argv in (["--obs"], ["--obs-dir", "out"]):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args([command, *argv])
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -73,9 +82,7 @@ class TestObsArtifacts:
 
     RUN = ["run", "--workload", "jbb", "--nodes", "2", "--ops", "40", "--seed", "3"]
 
-    def test_writes_manifest_metrics_and_snapshot(self, tmp_path, monkeypatch, capsys):
-        # --obs sets REPRO_OBS in this process; setenv restores it after.
-        monkeypatch.setenv("REPRO_OBS", "0")
+    def test_writes_manifest_metrics_and_snapshot(self, tmp_path, capsys):
         out_dir = tmp_path / "obs_artifacts"
         assert main(self.RUN + ["--obs", "--obs-dir", str(out_dir)]) == 0
         assert f"obs artifacts written to {out_dir}/" in capsys.readouterr().out
@@ -94,16 +101,45 @@ class TestObsArtifacts:
             3,
         )
         assert manifest["code_fingerprint"] == code_fingerprint()
-        assert manifest["regimes"]["obs"] is True
 
         snapshot = json.loads((out_dir / "snapshot.json").read_text())
         assert snapshot["layers"]["scheduler"]["events_processed"] > 0
         prom = (out_dir / "metrics.prom").read_text()
         assert "# TYPE repro_layers_scheduler_events_processed gauge" in prom
 
-    def test_obs_dir_without_obs_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
+    def test_obs_dir_without_obs_writes_nothing(self, tmp_path, capsys):
         out_dir = tmp_path / "obs_artifacts"
         assert main(self.RUN + ["--obs-dir", str(out_dir)]) == 0
         assert "obs artifacts" not in capsys.readouterr().out
         assert not out_dir.exists()
+
+
+class TestOpTrace:
+    """``run --op-trace FILE`` records the whole op stream for ``oracle``."""
+
+    RUN = ["run", "--workload", "oltp", "--nodes", "2", "--ops", "40"]
+
+    @staticmethod
+    def _result_lines(out):
+        return [
+            line
+            for line in out.splitlines()
+            if line.startswith(("cycles:", "completed:", "violations:"))
+        ]
+
+    def test_recording_is_transparent(self, tmp_path, capsys):
+        assert main(self.RUN) == 0
+        plain = self._result_lines(capsys.readouterr().out)
+        path = tmp_path / "deep" / "ops.jsonl"
+        assert main(self.RUN + ["--op-trace", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert self._result_lines(out) == plain
+        events = len(load_jsonl(str(path)).events)
+        assert f"op trace written: {path} ({events} events)" in out
+
+    def test_oracle_decides_what_run_wrote(self, tmp_path, capsys):
+        path = tmp_path / "ops.jsonl"
+        assert main(self.RUN + ["--op-trace", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["oracle", str(path), "--model", "TSO"]) == 0
+        assert capsys.readouterr().out.startswith("ADMISSIBLE under TSO")

@@ -5,7 +5,6 @@ import pickle
 
 import pytest
 
-from repro import obs
 from repro.common.errors import ConfigError
 from repro.config import SystemConfig
 from repro.faults.campaign import run_campaign
@@ -16,7 +15,6 @@ from repro.parallel import (
     RunSpec,
     execute_run_spec,
     last_run_obs,
-    pool_hub,
     resolve_jobs,
     run_points,
 )
@@ -145,25 +143,6 @@ class TestPoolObs:
         }
         assert (batch["jobs"], batch["specs"]) == (jobs, 5)
         assert 0 <= batch["task_s_max"] <= batch["task_s_total"]
-
-    def test_hub_is_null_until_obs_turns_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        assert pool_hub() is obs.NULL_HUB
-        monkeypatch.setenv("REPRO_OBS", "1")
-        assert pool_hub().enabled
-        assert pool_hub() is pool_hub()
-
-    def test_hub_counts_batches_and_specs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "1")
-        before = pool_hub().snapshot()["counters"]
-        run_points([1, 2, 3], jobs=1, worker=_double)
-        after = pool_hub().snapshot()
-        counters = after["counters"]
-        assert counters["pool.batches"] - before.get("pool.batches", 0) == 1
-        assert counters["pool.specs"] - before.get("pool.specs", 0) == 3
-        assert after["gauges"]["pool.jobs"] == 1
-        assert sorted({name.split(".")[0] for section in after.values()
-                       for name in section}) == ["pool"]
 
 
 class TestMeasureDeterminism:

@@ -4,6 +4,7 @@ from repro.config import SystemConfig
 from repro.processor.operations import Atomic, Batch, Load, Store
 from repro.system.builder import build_system
 from repro.verify import Trace, TraceChecker, TraceEvent, record_program
+from repro.verify.trace import dump_jsonl, event_from_dict, event_to_dict, load_jsonl
 from repro.workloads import lock_addr, shared_addr
 from repro.workloads.primitives import lock_acquire, lock_release
 from repro.consistency.models import ConsistencyModel
@@ -209,8 +210,6 @@ class TestCodecRoundTrip:
         return trace
 
     def test_fault_injected_run_round_trips_exactly(self, tmp_path):
-        from repro.verify.trace import dump_jsonl, load_jsonl
-
         trace = self._fault_injected_trace(tmp_path)
         assert trace.events, "the run must have produced events"
         path = str(tmp_path / "trace.jsonl")
@@ -234,7 +233,6 @@ class TestCodecRoundTrip:
 
     def test_oracle_verdict_survives_round_trip(self, tmp_path):
         from repro.oracle import check_trace
-        from repro.verify.trace import dump_jsonl, load_jsonl
 
         trace = self._fault_injected_trace(tmp_path)
         path = str(tmp_path / "trace.jsonl")
@@ -244,3 +242,19 @@ class TestCodecRoundTrip:
         after = check_trace(again, ConsistencyModel.RMO)
         assert before.decided == after.decided
         assert before.admissible == after.admissible
+
+
+class TestJsonlCodec:
+    def test_event_dict_round_trip(self):
+        ev = TraceEvent(2, 5, "atomic", 0x40, 7, old_value=3)
+        assert event_from_dict(event_to_dict(ev)) == ev
+
+    def test_file_round_trip_is_exact(self, tmp_path):
+        events = [
+            TraceEvent(0, 0, "load", 0x10, 1),
+            TraceEvent(1, 0, "store", 0x14, 2),
+            TraceEvent(0, 1, "atomic", 0x10, 3, old_value=1),
+        ]
+        path = tmp_path / "trace.jsonl"
+        assert dump_jsonl(events, str(path)) == 3
+        assert load_jsonl(str(path)).events == events
