@@ -10,7 +10,7 @@ from .errors import (
     SimulationError,
     TraceFormatError,
 )
-from .events import Event, Scheduler
+from .events import Scheduler
 from .logical_time import (
     TIMESTAMP_BITS,
     TIMESTAMP_MASK,
@@ -47,7 +47,6 @@ __all__ = [
     "DeadlockError",
     "DirectoryLogicalTime",
     "EpochType",
-    "Event",
     "Histogram",
     "LogicalTimeBase",
     "MembarMask",

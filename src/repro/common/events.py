@@ -21,7 +21,6 @@ heap reference on randomized programs.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
@@ -47,57 +46,19 @@ def _noop() -> None:
     """Sentinel callback for late-lane cycles (see ``post_late``)."""
 
 
-class Event:
-    """Handle for a scheduled callback; supports cancellation.
-
-    The compatibility shell for cold paths: anything needing a handle
-    (cancellable timers, heartbeats) goes through :meth:`Scheduler.at`
-    / :meth:`Scheduler.after` and gets one of these; the hot no-handle
-    path (:meth:`Scheduler.post`) never allocates an ``Event``.
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sched")
-
-    def __init__(
-        self,
-        time: int,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple,
-        sched: Optional["Scheduler"] = None,
-    ):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        # Owning scheduler, so cancellation can keep the scheduler's
-        # cancelled-slot count exact for pending().  Cleared when the
-        # event is consumed (run or skipped) so a late cancel() on a
-        # dead handle cannot skew the count.
-        self._sched = sched
-
-    def cancel(self) -> None:
-        """Prevent the callback from running.  Idempotent."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sched = self._sched
-        if sched is not None:
-            sched._cancelled += 1
-
-
 class Scheduler:
     """Deterministic discrete-event scheduler keyed by cycle count.
 
-    See the module docstring for the calendar-queue layout.  Representation:
+    See the module docstring for the calendar-queue layout.  Every
+    queued event is a ``callback, args`` record; nothing is allocated
+    to schedule one, and nothing can be cancelled.  Representation:
 
-    * a bucket is a flat list mixing two record shapes — a hot
-      ``post``/``post_at`` record occupies two adjacent slots
-      (``callback, args``; nothing is allocated to schedule it), while
-      a cold :meth:`at`/:meth:`after` record is a single
-      :class:`Event` slot.  The drain walk tells them apart with one
-      class check per record;
+    * a bucket is a flat list of records, each occupying two adjacent
+      slots (``callback``, ``args``) in append order — the order alone
+      carries the tie-break, so in-window records need no sequence
+      number;
+    * the overflow heap holds ``(time, seq, callback, args)`` tuples,
+      ``seq`` drawn from one counter so equal times pop in post order;
     * ``_times`` is a min-heap of *sparse* bucket times — targets of
       posts due more than :data:`DENSE_SPAN` cycles out (plus overflow
       migrations).  Dense posts pay nothing; the drain cursor walks at
@@ -106,7 +67,7 @@ class Scheduler:
       quiescent span of any length straight to the next occupied
       sparse bucket;
     * the ring is allocated lazily: a slot is ``None`` until a record
-      first lands there (``post``, ``post_at``, ``at`` or an overflow
+      first lands there (``post``, ``post_at`` or an overflow
       migration), and the bucket list created then is kept and reused
       for every later cycle that maps to the slot.  A machine that runs
       a few hundred cycles builds a few hundred lists, not
@@ -136,7 +97,6 @@ class Scheduler:
         "_mask",
         "_ring_size",
         "_ring_count",
-        "_cancelled",
         "_times",
         "_overflow",
         "_window_end",
@@ -162,13 +122,11 @@ class Scheduler:
         self._ring: List[Optional[list]] = [None] * ring_size
         self._mask = ring_size - 1
         self._ring_size = ring_size
-        #: Records (including cancelled ones) currently in ring buckets.
+        #: Records currently in ring buckets.
         self._ring_count = 0
-        #: Cancelled-but-not-yet-drained events (ring or overflow).
-        self._cancelled = 0
         #: Min-heap of occupied bucket times (may hold stale entries).
         self._times: List[int] = []
-        self._overflow: List[Tuple[int, int, Event]] = []
+        self._overflow: List[Tuple[int, int, Callable[..., Any], tuple]] = []
         self._window_end = ring_size
         self._counter = itertools.count()
         self.now = 0
@@ -229,44 +187,14 @@ class Scheduler:
             )
         return snap
 
-    def at(self, time: int, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute cycle ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at {time}, current time is {self.now}"
-            )
-        event = Event(time, next(self._counter), callback, args, self)
-        if time < self._window_end:
-            bucket = self._ring[time & self._mask]
-            if not bucket:
-                if time - self.now > DENSE_SPAN:
-                    heappush(self._times, time)
-                if bucket is None:
-                    self._ring[time & self._mask] = bucket = []
-            bucket.append(event)
-            self._ring_count += 1
-        else:
-            heapq.heappush(self._overflow, (time, event.seq, event))
-        return event
-
-    def after(self, delay: int, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.at(self.now + delay, callback, *args)
-
     def post(self, delay: int, callback: Callable[..., Any], args: tuple = ()) -> None:
-        """Schedule ``callback(*args)`` ``delay`` cycles from now, cheaply.
+        """Schedule ``callback(*args)`` ``delay`` cycles from now.
 
-        The no-handle, no-allocation fast path for hot call sites that
-        never cancel: an in-window record is stored *flat in the bucket
-        itself* as two adjacent slots (``callback``, ``args``) — no
-        :class:`Event`, no wrapper tuple, no sequence number (the
-        bucket's append order alone carries the tie-break, which is
-        exactly the insertion order the counter would have recorded).
-        Out-of-window posts fall back to a real overflow
-        :class:`Event`, whose heap ordering does need a sequence
-        number.
+        An in-window record is stored *flat in the bucket itself* as
+        two adjacent slots (``callback``, ``args``) — no wrapper, no
+        sequence number (the bucket's append order alone carries the
+        tie-break).  An out-of-window record goes to the overflow heap
+        as ``(time, seq, callback, args)``.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
@@ -282,16 +210,13 @@ class Scheduler:
             bucket.append(args)
             self._ring_count += 1
         else:
-            event = Event(time, next(self._counter), callback, args, self)
-            heapq.heappush(self._overflow, (time, event.seq, event))
+            heappush(self._overflow, (time, next(self._counter), callback, args))
 
     def post_at(self, time: int, callback: Callable[..., Any], args: tuple = ()) -> None:
-        """Schedule ``callback(*args)`` at absolute cycle ``time``, cheaply.
+        """Schedule ``callback(*args)`` at absolute cycle ``time``.
 
-        Absolute-time twin of :meth:`post`: same flat two-slot record
-        in-window, same overflow :class:`Event` fallback, same
-        no-cancellation contract; rejects times in the past exactly
-        like :meth:`at`.
+        Absolute-time twin of :meth:`post` (kept separate so the hot
+        relative path pays no extra call); rejects times in the past.
         """
         if time < self.now:
             raise SimulationError(
@@ -308,8 +233,7 @@ class Scheduler:
             bucket.append(args)
             self._ring_count += 1
         else:
-            event = Event(time, next(self._counter), callback, args, self)
-            heapq.heappush(self._overflow, (time, event.seq, event))
+            heappush(self._overflow, (time, next(self._counter), callback, args))
 
     def post_late(self, delay: int, callback: Callable[..., Any], args: tuple = ()) -> None:
         """Schedule ``callback(*args)`` in cycle ``now + delay``'s *late lane*.
@@ -359,11 +283,6 @@ class Scheduler:
     def pending(self) -> int:
         """Number of queued events still due to run, exact per event.
 
-        Cancelled-but-undrained slots are excluded (the scheduler keeps
-        an exact count as they are cancelled and as the drain reaps
-        them), so a periodic check polling ``pending()`` to decide
-        whether to re-arm itself is not kept alive by dead timers.
-
         Late-lane records (:meth:`post_late`) and their per-cycle
         sentinel each count as one pending event until they run.
         Waiters parked on a :class:`~repro.common.waitsets.WaitSet` are
@@ -372,21 +291,15 @@ class Scheduler:
         *armed* waiter shares with its cycle is counted, and that
         record always runs.
         """
-        return (
-            self._ring_count
-            + self._late_count
-            + len(self._overflow)
-            - self._cancelled
-        )
+        return self._ring_count + self._late_count + len(self._overflow)
 
     def _locate(
         self, limit: Optional[int] = None
     ) -> Optional[Tuple[int, Optional[list]]]:
         """Cursor to the next non-empty bucket, or None when drained.
 
-        Shared by :meth:`run` and :meth:`step`, so both paths advance
-        ``now``, skip cancelled events, and count ``events_processed``
-        identically.  Does not consume events.  The bucket walk is
+        :meth:`run`'s slow path, for when its inline dense probe finds
+        nothing.  Does not consume events.  The bucket walk is
         bounded: after :data:`DENSE_SPAN` empty probes (which provably
         cover every pending dense record) the cursor batch-advances
         through the ``_times`` heap of sparse bucket times (stale heads
@@ -451,16 +364,16 @@ class Scheduler:
                 return first, None
             end = first + self._ring_size
             self._window_end = end
-            pop = heapq.heappop
             count = 0
             while overflow and overflow[0][0] < end:
-                time, _seq, event = pop(overflow)
+                time, _seq, callback, args = heappop(overflow)
                 bucket = ring[time & mask]
                 if not bucket:
                     heappush(times, time)
                     if bucket is None:
                         ring[time & mask] = bucket = []
-                bucket.append(event)
+                bucket.append(callback)
+                bucket.append(args)
                 count += 1
             self._ring_count += count
             if self._obs_on:
@@ -485,78 +398,21 @@ class Scheduler:
         self._ring_count += moved
         return True
 
-    def step(self) -> bool:
-        """Run the next event.  Returns False if the queue is empty."""
-        while True:
-            located = self._locate()
-            if located is None:
-                return False
-            t, bucket = located
-            assert bucket is not None  # no limit passed
-            i = 0
-            n = len(bucket)
-            while i < n:
-                record = bucket[i]
-                if record.__class__ is not Event:
-                    args = bucket[i + 1]
-                    i += 2
-                    self._ring_count -= 1
-                    del bucket[:i]
-                    self.now = t
-                    self._events_processed += 1
-                    record(*args)
-                    if not bucket:
-                        self._splice_late(t, bucket)
-                    return True
-                i += 1
-                self._ring_count -= 1
-                record._sched = None
-                if record.cancelled:
-                    self._cancelled -= 1
-                    continue
-                del bucket[:i]
-                self.now = t
-                self._events_processed += 1
-                record.callback(*record.args)
-                if not bucket:
-                    self._splice_late(t, bucket)
-                return True
-            del bucket[:n]
-            self._splice_late(t, bucket)
-
-    def run(
-        self,
-        until: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-        max_events: Optional[int] = None,
-        stop_interval: int = 1,
-    ) -> None:
-        """Run events until the queue drains or a bound is hit.
+    def run(self, until: Optional[int] = None) -> None:
+        """Run events until the queue drains, ``until`` passes or :meth:`halt`.
 
         This is the simulator's innermost loop (tens of thousands of
         iterations per run): buckets are drained with a plain index
-        walk over the flat records, and cancelled events are skipped
-        without touching ``now`` or the counters.
-
-        Args:
-            until: stop once simulated time would exceed this cycle.
-            stop_when: predicate polled after events; stops when true.
-            max_events: hard cap on the number of callbacks executed
-                (guards against runaway simulations in tests).
-            stop_interval: poll ``stop_when`` only every N executed
-                events (default 1 = every event).  Lets callers hoist a
-                cheap-but-not-free predicate out of the per-event path.
+        walk over the flat ``callback, args`` records.  With ``until``
+        the run stops once simulated time would exceed that cycle,
+        leaving ``now`` at ``until``.
         """
         locate = self._locate
         ring = self._ring
         mask = self._mask
         ring_size = self._ring_size
-        # Countdown twin of ``done % stop_interval == 0`` — one
-        # decrement-and-test per event instead of a modulo.
-        poll_in = stop_interval
-        # ``events_processed`` is flushed from this local at bucket
-        # boundaries and on every exit (the ``finally`` covers early
-        # returns, the max_events raise, and callback exceptions);
+        # ``events_processed`` is flushed from this local on every exit
+        # (the ``finally`` covers returns and callback exceptions);
         # nothing observes the counter mid-run, so batching it off the
         # per-event path is free.  ``_ring_count`` by contrast *is*
         # decremented per record: callbacks may poll ``pending()`` and
@@ -599,6 +455,9 @@ class Scheduler:
                 if until is not None and t > until:
                     self.now = until
                     return
+                # Every record in a located bucket runs, so the cycle
+                # label is set once per bucket.
+                self.now = t
                 i = 0
                 # ``n`` is re-sampled only when the walk catches up with
                 # it: same-cycle posts append to the bucket being
@@ -610,10 +469,11 @@ class Scheduler:
                 # always land on record boundaries.
                 n = len(bucket)
                 if self._obs_on:
+                    records = n >> 1  # two slots per record
                     self._obs_buckets += 1
-                    self._obs_bucket_events += n
-                    if n > self._obs_bucket_max:
-                        self._obs_bucket_max = n
+                    self._obs_bucket_events += records
+                    if records > self._obs_bucket_max:
+                        self._obs_bucket_max = records
                 while True:
                     if i == n:
                         n = len(bucket)
@@ -624,40 +484,12 @@ class Scheduler:
                             if not self._splice_late(t, bucket):
                                 break
                             n = len(bucket)
-                    record = bucket[i]
-                    if record.__class__ is not Event:
-                        args = bucket[i + 1]
-                        i += 2
-                        self._ring_count -= 1
-                        self.now = t
-                        done += 1
-                        record(*args)
-                    else:
-                        i += 1
-                        self._ring_count -= 1
-                        record._sched = None
-                        if record.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        self.now = t
-                        done += 1
-                        record.callback(*record.args)
-                    poll_in -= 1
-                    if poll_in == 0:
-                        poll_in = stop_interval
-                        if stop_when is not None and stop_when():
-                            del bucket[:i]
-                            if not bucket:
-                                self._splice_late(t, bucket)
-                            return
-                    if max_events is not None and done >= max_events:
-                        del bucket[:i]
-                        if not bucket:
-                            self._splice_late(t, bucket)
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} at cycle {self.now}"
-                        )
+                    callback = bucket[i]
+                    args = bucket[i + 1]
+                    i += 2
+                    self._ring_count -= 1
+                    done += 1
+                    callback(*args)
                 del bucket[:]
         finally:
             self._events_processed += done
-

@@ -112,18 +112,6 @@ class StatsRegistry:
             self.values.append(0)
         return idx
 
-    def incr_handle(self, handle: int, amount: int = 1) -> None:
-        """Increment a preresolved handle (hot sites inline this)."""
-        self.values[handle] += amount
-
-    def set_counter(self, key: str, value: int) -> None:
-        idx = self._handles.get(key)
-        if idx is not None:
-            self.values[idx] = value
-            self._counters.pop(key, None)
-        else:
-            self._counters[key] = value
-
     def counter(self, key: str) -> int:
         total = self._counters.get(key, 0)
         idx = self._handles.get(key)

@@ -27,10 +27,11 @@ four rules:
   agendas therefore evaluates the same predicates at the same
   simulated instants.
 * **Grid anchoring.**  A waiter's checks stay on the grid
-  ``anchor + k·period`` (the anchor resets at every failed check, which
-  preserves the grid because the period is uniform).  A notify at cycle
-  ``now`` schedules the re-check at the first grid point ``>= now`` —
-  exactly the first poll that would have seen the change.
+  ``anchor + k·RETRY_PERIOD`` (the anchor resets at every failed
+  check, which preserves the grid because the period is uniform).  A
+  notify at cycle ``now`` schedules the re-check at the first grid
+  point ``>= now`` — exactly the first poll that would have seen the
+  change.
 * **Episode-stable sequence numbers.**  Agendas check waiters in
   global park order (``seq``).  A seq is assigned once per *episode*
   (first park of a blocked op) and survives re-parks, so episodes are
@@ -81,7 +82,6 @@ class Waiter:
         "ws",
         "callback",
         "args",
-        "period",
         "seq",
         "anchor",
         "start",
@@ -94,18 +94,16 @@ class Waiter:
         ws: "WaitSet",
         callback: Callable[..., Any],
         args: tuple,
-        period: int,
         seq: int,
         now: int,
     ) -> None:
         self.ws = ws
         self.callback = callback
         self.args = args
-        self.period = period
         self.seq = seq
         #: Retry-grid origin; reset at every park so the next check
-        #: lands at ``anchor + period`` (grid-preserving: uniform
-        #: period).
+        #: lands at ``anchor + RETRY_PERIOD`` (grid-preserving: the
+        #: period is uniform).
         self.anchor = now
         #: Episode start, for the wait-duration histogram.
         self.start = now
@@ -131,14 +129,9 @@ class WaitSet:
         self.hub = hub
         self.waiters: List[Waiter] = []
 
-    def park(
-        self,
-        callback: Callable[..., Any],
-        args: tuple = (),
-        period: int = RETRY_PERIOD,
-    ) -> Waiter:
+    def park(self, callback: Callable[..., Any], args: tuple = ()) -> Waiter:
         """Park ``callback(*args)`` until notified."""
-        return self.hub.park(self, callback, args, period)
+        return self.hub.park(self, callback, args)
 
     def notify(self) -> None:
         """Signal that this set's condition may have become true."""
@@ -200,11 +193,7 @@ class WakeHub:
         self._wait_max = 0
 
     def park(
-        self,
-        ws: WaitSet,
-        callback: Callable[..., Any],
-        args: tuple,
-        period: int = RETRY_PERIOD,
+        self, ws: WaitSet, callback: Callable[..., Any], args: tuple
     ) -> Waiter:
         """Park a check; returns its (new or already-live) waiter."""
         now = self._sched.now
@@ -225,7 +214,7 @@ class WakeHub:
         for w in ws.waiters:
             if w.callback == callback and w.args == args:
                 return w
-        w = Waiter(ws, callback, args, period, self._seq, now)
+        w = Waiter(ws, callback, args, self._seq, now)
         self._seq += 1
         ws.waiters.append(w)
         self.waits_parked += 1
@@ -242,13 +231,12 @@ class WakeHub:
         for w in waiters:
             if w.armed:
                 continue
-            p = w.period
             # First grid point >= now (and > anchor): the first poll
             # that would have observed this change.
-            k = -((w.anchor - now) // p)
+            k = -((w.anchor - now) // RETRY_PERIOD)
             if k < 1:
                 k = 1
-            t = w.anchor + k * p
+            t = w.anchor + k * RETRY_PERIOD
             if t > now:
                 self._arm(w, t)
             elif self._running_cycle == now:
@@ -260,11 +248,11 @@ class WakeHub:
                 else:
                     # Already checked (and failed) earlier in this
                     # agenda — next chance is a full period out.
-                    self._arm(w, now + p)
+                    self._arm(w, now + RETRY_PERIOD)
             elif self._agenda_done == now:
                 # Post-agenda delay-0 chain: this cycle's check already
                 # ran and failed.
-                self._arm(w, now + p)
+                self._arm(w, now + RETRY_PERIOD)
             else:
                 self._arm(w, now)
 

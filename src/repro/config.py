@@ -213,9 +213,6 @@ class SystemConfig:
     def with_dvmc(self, dvmc: DVMCConfig) -> "SystemConfig":
         return replace(self, dvmc=dvmc)
 
-    def with_safetynet(self, safetynet: SafetyNetConfig) -> "SystemConfig":
-        return replace(self, safetynet=safetynet)
-
     def with_nodes(self, num_nodes: int) -> "SystemConfig":
         return replace(self, num_nodes=num_nodes)
 

@@ -90,8 +90,8 @@ class FaultInjector:
 
     def arm(self, plan: FaultPlan) -> None:
         """Schedule the plan's injection at its cycle."""
+        self.system.scheduler.post_at(plan.at_cycle, self._fire, (plan, 0))
         self._pending.append(plan)
-        self.system.scheduler.at(plan.at_cycle, self._fire, plan, 0)
 
     def _fire(self, plan: FaultPlan, attempt: int) -> None:
         if plan not in self._pending:  # already flushed by a finalizer
@@ -100,7 +100,7 @@ class FaultInjector:
         self._attempt = attempt
         record = handler(plan)
         if not record.landed and attempt < self.MAX_RETRIES:
-            self.system.scheduler.after(self.RETRY_DELAY, self._fire, plan, attempt + 1)
+            self.system.scheduler.post(self.RETRY_DELAY, self._fire, (plan, attempt + 1))
             return
         self._pending.remove(plan)
         self.records.append(record)

@@ -1015,22 +1015,6 @@ class Core:
     # ------------------------------------------------------------------
     # Generic ordering-table gate
     # ------------------------------------------------------------------
-    def _has_unperformed_older(self, op_type: OpType, before_seq: int) -> bool:
-        if op_type is OpType.STORE:
-            if self.wb is not None and self.wb.has_store_older_than(before_seq):
-                return True
-            if self._sc_store_outstanding:
-                return True
-        for rec in self._inflight:
-            if rec.seq >= before_seq:
-                break
-            if not rec.performed and (
-                rec.op_type is op_type
-                or (rec.op_type is OpType.ATOMIC and op_type in rec.op_type.access_types())
-            ):
-                return True
-        return False
-
     def _can_perform(self, rec: OpRec) -> bool:
         """May ``rec`` perform now without violating the ordering table?
 

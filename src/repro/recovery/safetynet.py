@@ -70,7 +70,7 @@ class SafetyNet:
         self.spans = None
         self._span_track = 0
         self._open_checkpoint()
-        scheduler.after(self.config.checkpoint_interval, self._advance)
+        scheduler.post(self.config.checkpoint_interval, self._advance)
 
     def attach_spans(self, spans) -> None:
         """Attach the flight recorder; checkpoints share one track."""
@@ -119,7 +119,7 @@ class SafetyNet:
                         size_bytes=self.network_config.control_message_bytes,
                     )
                 )
-        self.scheduler.after(self.config.checkpoint_interval, self._advance)
+        self.scheduler.post(self.config.checkpoint_interval, self._advance)
 
     # -- recovery interface -------------------------------------------------
     @property

@@ -82,9 +82,8 @@ class System:
         #: check them in.
         self.wake_hub = WakeHub(self.scheduler)
         #: Armed only inside :meth:`run`'s simulate phase: lets the last
-        #: core's quiescence halt the kernel at a bucket boundary
-        #: instead of polling ``stop_when`` every N events.  Kept off
-        #: during :meth:`run_cycles` / :meth:`drain_epochs` /
+        #: core's quiescence halt the kernel at a bucket boundary.  Kept
+        #: off during :meth:`run_cycles` / :meth:`drain_epochs` /
         #: :meth:`scrub_memory`, which advance time unconditionally.
         self._halt_on_quiesce = False
         self.stats = StatsRegistry()
@@ -132,9 +131,8 @@ class System:
                 core.start()
             # Event-driven stop: each core reports quiescence exactly
             # once (via ``on_quiescent``); the last report halts the
-            # kernel at the current bucket boundary.  No per-event
-            # ``stop_when`` polling, and the stop cycle does not depend
-            # on how blocked checks retry.
+            # kernel at the current bucket boundary, so the stop cycle
+            # does not depend on how blocked checks retry.
             self._halt_on_quiesce = True
             try:
                 if all(core.quiescent for core in self.cores):

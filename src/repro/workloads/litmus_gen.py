@@ -26,10 +26,9 @@ value, so a captured trace never needs the oracle's branching fallback.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.types import MembarMask
 from repro.processor.operations import (
@@ -95,8 +94,6 @@ class LitmusSpec:
         return shared and observed
 
     # -- codec --------------------------------------------------------------
-    _OPCODES = {"st": "st", "ld": "ld", "mb": "mb", "sb": "sb", "rmw": "rmw"}
-
     def encode(self) -> str:
         """Compact one-line form, e.g. ``st0.1,ld1;st1.9,ld0``."""
         parts = []
@@ -385,24 +382,3 @@ def classics() -> List[LitmusSpec]:
     """Fresh copies of the curated named specs."""
     return list(CLASSICS)
 
-
-def dump_specs(specs: Iterable[LitmusSpec], path: str) -> int:
-    """Write specs as JSON Lines; returns the number written."""
-    count = 0
-    with open(path, "w") as fh:
-        for spec in specs:
-            fh.write(json.dumps(spec.to_json(), sort_keys=True))
-            fh.write("\n")
-            count += 1
-    return count
-
-
-def load_specs(path: str) -> List[LitmusSpec]:
-    """Read a JSONL spec file written by :func:`dump_specs`."""
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(LitmusSpec.from_json(json.loads(line)))
-    return out

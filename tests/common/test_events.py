@@ -1,6 +1,7 @@
 """Discrete-event scheduler."""
 
 import heapq
+import importlib
 import itertools
 import random
 
@@ -14,9 +15,9 @@ class TestScheduling:
     def test_runs_in_time_order(self):
         s = Scheduler()
         out = []
-        s.after(10, out.append, "b")
-        s.after(5, out.append, "a")
-        s.after(20, out.append, "c")
+        s.post(10, out.append, ("b",))
+        s.post(5, out.append, ("a",))
+        s.post(20, out.append, ("c",))
         s.run()
         assert out == ["a", "b", "c"]
         assert s.now == 20
@@ -25,28 +26,28 @@ class TestScheduling:
         s = Scheduler()
         out = []
         for tag in "abc":
-            s.after(7, out.append, tag)
+            s.post(7, out.append, (tag,))
         s.run()
         assert out == ["a", "b", "c"]
 
     def test_zero_delay_runs_at_current_time(self):
         s = Scheduler()
         out = []
-        s.after(0, out.append, 1)
+        s.post(0, out.append, (1,))
         s.run()
         assert s.now == 0 and out == [1]
 
     def test_negative_delay_rejected(self):
         s = Scheduler()
         with pytest.raises(SimulationError):
-            s.after(-1, lambda: None)
+            s.post(-1, lambda: None)
 
     def test_schedule_in_past_rejected(self):
         s = Scheduler()
-        s.after(10, lambda: None)
+        s.post(10, lambda: None)
         s.run()
         with pytest.raises(SimulationError):
-            s.at(5, lambda: None)
+            s.post_at(5, lambda: None)
 
     def test_events_scheduled_during_run(self):
         s = Scheduler()
@@ -55,65 +56,64 @@ class TestScheduling:
         def chain(n):
             out.append(n)
             if n < 3:
-                s.after(1, chain, n + 1)
+                s.post(1, chain, (n + 1,))
 
-        s.after(0, chain, 0)
+        s.post(0, chain, (0,))
         s.run()
         assert out == [0, 1, 2, 3]
         assert s.now == 3
 
+    @pytest.mark.parametrize("ring_size", [0, 3, 100])
+    def test_ring_size_must_be_a_power_of_two(self, ring_size):
+        with pytest.raises(SimulationError):
+            Scheduler(ring_size)
 
-class TestCancellation:
-    def test_cancelled_event_does_not_run(self):
-        s = Scheduler()
-        out = []
-        event = s.after(5, out.append, "x")
-        event.cancel()
-        s.run()
-        assert out == []
 
-    def test_cancel_is_idempotent(self):
+class TestSurface:
+    """The kernel offers only what the simulated machine calls: one
+    record shape, no handles, no cancellation, no predicate stops."""
+
+    @pytest.mark.parametrize("name", ["at", "after", "step"])
+    def test_retired_method_is_gone(self, name):
+        assert not hasattr(Scheduler, name)
+
+    @pytest.mark.parametrize("module", ["repro.common.events", "repro.common"])
+    def test_no_event_handle_class(self, module):
+        assert not hasattr(importlib.import_module(module), "Event")
+
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            {"stop_when": lambda: True},
+            {"max_events": 10},
+            {"stop_interval": 2},
+        ],
+        ids=["stop_when", "max_events", "stop_interval"],
+    )
+    def test_run_refuses_retired_bound(self, bound):
         s = Scheduler()
-        event = s.after(5, lambda: None)
-        event.cancel()
-        event.cancel()
-        s.run()
+        s.post(1, lambda: None)
+        with pytest.raises(TypeError):
+            s.run(**bound)
+        assert s.pending() == 1 and s.now == 0
 
 
 class TestBounds:
     def test_until_stops_before_later_events(self):
         s = Scheduler()
         out = []
-        s.after(5, out.append, "a")
-        s.after(50, out.append, "b")
+        s.post(5, out.append, ("a",))
+        s.post(50, out.append, ("b",))
         s.run(until=10)
         assert out == ["a"]
         assert s.now == 10
         s.run()
         assert out == ["a", "b"]
 
-    def test_stop_when_predicate(self):
-        s = Scheduler()
-        out = []
-        for i in range(10):
-            s.after(i, out.append, i)
-        s.run(stop_when=lambda: len(out) >= 3)
-        assert len(out) == 3
-
-    def test_max_events_guard(self):
-        s = Scheduler()
-
-        def forever():
-            s.after(1, forever)
-
-        s.after(0, forever)
-        with pytest.raises(SimulationError):
-            s.run(max_events=100)
-
     def test_events_processed_counter(self):
         s = Scheduler()
         for i in range(5):
-            s.after(i, lambda: None)
+            s.post(i, lambda: None)
         s.run()
         assert s.events_processed == 5
 
@@ -122,8 +122,8 @@ class TestBounds:
         s = Scheduler()
         out = []
         for tag in "ab":
-            s.after(5, out.append, tag)
-        s.after(6, out.append, "c")
+            s.post(5, out.append, (tag,))
+        s.post(6, out.append, ("c",))
         s.run(until=5)
         assert out == ["a", "b"]
         assert s.now == 5
@@ -137,7 +137,7 @@ class TestBounds:
         """`until` must not let a window jump run far-future events."""
         s = Scheduler()
         out = []
-        s.after(3 * RING_SIZE, out.append, "far")
+        s.post(3 * RING_SIZE, out.append, ("far",))
         s.run(until=10)
         assert out == []
         assert s.now == 10
@@ -146,30 +146,20 @@ class TestBounds:
         assert out == ["far"]
         assert s.now == 3 * RING_SIZE
 
-    def test_stop_when_mid_bucket_then_resume(self):
-        s = Scheduler()
-        out = []
-        for tag in "abcd":
-            s.after(5, out.append, tag)
-        s.run(stop_when=lambda: len(out) >= 2)
-        assert out == ["a", "b"]
-        s.run()
-        assert out == ["a", "b", "c", "d"]
-
 
 class TestCalendarQueueEdges:
     def test_after_zero_runs_same_cycle_in_seq_order(self):
-        """after(0) from inside a callback joins the *current* cycle,
-        behind everything already queued for it."""
+        """A zero-delay post from inside a callback joins the *current*
+        cycle, behind everything already queued for it."""
         s = Scheduler()
         out = []
 
         def first():
             out.append("first")
-            s.after(0, out.append, "spawned")
+            s.post(0, out.append, ("spawned",))
 
-        s.after(5, first)
-        s.after(5, out.append, "second")
+        s.post(5, first)
+        s.post(5, out.append, ("second",))
         s.run()
         assert out == ["first", "second", "spawned"]
         assert s.now == 5
@@ -179,52 +169,47 @@ class TestCalendarQueueEdges:
         (heap-kernel semantics checkers rely on for quiescence polls)."""
         s = Scheduler()
         seen = []
-        s.after(4, lambda: seen.append(s.pending()))
+        s.post(4, lambda: seen.append(s.pending()))
         s.run()
         assert seen == [0]
-
-    def test_cancel_far_future_overflow_event(self):
-        s = Scheduler()
-        out = []
-        doomed = s.after(5 * RING_SIZE, out.append, "doomed")
-        s.after(4 * RING_SIZE, out.append, "kept")
-        doomed.cancel()
-        s.run()
-        assert out == ["kept"]
-        assert s.now == 4 * RING_SIZE
-        assert s.pending() == 0
-
-    def test_cancel_overflow_event_mid_run(self):
-        """Cancellation after the event migrated into the ring."""
-        s = Scheduler()
-        out = []
-        doomed = s.after(2 * RING_SIZE + 7, out.append, "doomed")
-        s.after(2 * RING_SIZE + 3, doomed.cancel)
-        s.run()
-        assert out == []
-        assert s.pending() == 0
 
     def test_event_beyond_ring_window_keeps_time_label(self):
         """An event more than a ring period ahead must run at its own
         time, not an alias one period early."""
         s = Scheduler()
         seen = []
-        s.after(0, lambda: None)
-        s.after(RING_SIZE + 13, lambda: seen.append(s.now))
+        s.post(0, lambda: None)
+        s.post(RING_SIZE + 13, lambda: seen.append(s.now))
         s.run()
         assert seen == [RING_SIZE + 13]
 
-    def test_step_drains_one_event_at_a_time(self):
+
+class TestObsCounters:
+    def test_obs_counts_records_not_slots(self):
+        """Bucket occupancy counts records (two slots each); records
+        past the window count as migrations of one window jump."""
         s = Scheduler()
-        out = []
-        s.after(2, out.append, "a")
-        s.after(2, out.append, "b")
-        s.after(RING_SIZE * 3, out.append, "c")
-        assert s.step() and out == ["a"]
-        assert s.step() and out == ["a", "b"]
-        assert s.step() and out == ["a", "b", "c"]
-        assert not s.step()
-        assert s.pending() == 0
+        s.attach_obs()
+        for _ in range(3):
+            s.post(5, lambda: None)
+        s.post(9, lambda: None)
+        for offset in (100, 101, 101):
+            s.post(RING_SIZE + offset, lambda: None)
+        s.run(until=RING_SIZE)
+        snap = s.obs_snapshot()
+        assert snap["buckets_drained"] == 2
+        assert snap["bucket_events"] == 4
+        assert snap["bucket_occupancy_mean"] == 2.0
+        assert snap["bucket_occupancy_max"] == 3
+        assert snap["overflow_migrations"] == 0
+        assert snap["window_jumps"] == 0
+        assert snap["overflow_pending"] == 3
+        s.run()
+        snap = s.obs_snapshot()
+        assert snap["overflow_migrations"] == 3
+        assert snap["window_jumps"] == 1
+        assert snap["events_processed"] == 7
+        assert snap["pending"] == 0
 
 
 class TestLazyBuckets:
@@ -240,7 +225,7 @@ class TestLazyBuckets:
         assert all(bucket is None for bucket in s._ring)
 
     @pytest.mark.parametrize("delay", [0, 5, DENSE_SPAN + 1, RING_SIZE - 1])
-    @pytest.mark.parametrize("via", ["post", "post_at", "at", "post_late"])
+    @pytest.mark.parametrize("via", ["post", "post_at", "post_late"])
     def test_first_record_reaches_an_untouched_slot(self, via, delay):
         s = Scheduler()
         out = []
@@ -249,8 +234,6 @@ class TestLazyBuckets:
             s.post(delay, out.append, ("x",))
         elif via == "post_at":
             s.post_at(s.now + delay, out.append, ("x",))
-        elif via == "at":
-            s.at(s.now + delay, out.append, "x")
         else:
             s.post_late(delay, out.append, ("x",))
         assert self._slot(s, delay)  # a list now holds the record
@@ -265,47 +248,23 @@ class TestLazyBuckets:
         out = []
         times = [3 * RING_SIZE + 11, 3 * RING_SIZE + 700, 4 * RING_SIZE - 1]
         for t in reversed(times):
-            s.at(t, lambda t=t: out.append((s.now, t)))
+            s.post_at(t, lambda t=t: out.append((s.now, t)))
         s.post(RING_SIZE + 40, out.append, ((None, "post"),))
         assert all(bucket is None for bucket in s._ring)  # all in overflow
         s.run()
         assert out == [(None, "post")] + [(t, t) for t in times]
         assert s.pending() == 0
 
-    def test_cancelled_at_in_untouched_slot_keeps_pending_exact(self):
-        s = Scheduler()
-        out = []
-        doomed = s.at(777, out.append, "doomed")
-        s.post(900, out.append, ("kept",))
-        assert s.pending() == 2
-        doomed.cancel()
-        assert s.pending() == 1
-        s.run()
-        assert out == ["kept"]
-        assert s.now == 900
-        assert s.pending() == 0
-        assert self._slot(s, 777) == []  # created, drained, kept for reuse
 
-
-class _RefEvent:
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
-
-    def __init__(self, time, seq, callback, args):
-        self.time, self.seq = time, seq
-        self.callback, self.args = callback, args
-        self.cancelled = False
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def cancel(self):
-        self.cancelled = True
+def _noop():
+    pass
 
 
 class _HeapScheduler:
-    """Reference kernel: the plain (time, seq) binary heap the calendar
-    queue replaced, plus late lanes.  Kept minimal — just the surface
-    the equivalence tests and a whole-system run drive.
+    """Reference kernel: the plain ``(time, seq, callback, args)``
+    binary heap the calendar queue replaced, plus late lanes.  Kept
+    minimal — just the surface the equivalence tests and a
+    whole-system run drive.
 
     The first ``post_late`` for a cycle posts a no-op sentinel, which
     counts as one pending event.  A cycle's late lane is spliced in
@@ -325,30 +284,21 @@ class _HeapScheduler:
         self.events_processed = 0
         self._halted = False
 
-    def at(self, time, callback, *args):
-        event = _RefEvent(time, next(self._seq), callback, args)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def after(self, delay, callback, *args):
-        return self.at(self.now + delay, callback, *args)
-
     def post_at(self, time, callback, args=()):
-        self.at(time, callback, *args)
+        heapq.heappush(self._heap, (time, next(self._seq), callback, args))
 
     def post(self, delay, callback, args=()):
-        self.at(self.now + delay, callback, *args)
+        self.post_at(self.now + delay, callback, args)
 
     def post_late(self, delay, callback, args=()):
         time = self.now + delay
         if time not in self._late:
             self._late[time] = []
-            self.at(time, lambda: None)
+            self.post_at(time, _noop)
         self._late[time].append((callback, args))
 
     def pending(self):
-        live = sum(not event.cancelled for event in self._heap)
-        return live + sum(len(lane) for lane in self._late.values())
+        return len(self._heap) + sum(len(lane) for lane in self._late.values())
 
     def halt(self):
         self._halted = True
@@ -361,19 +311,18 @@ class _HeapScheduler:
                 return
             if not heap:
                 return
-            time = heap[0].time
+            time = heap[0][0]
             if until is not None and time > until:
                 self.now = until
                 return
-            while heap and heap[0].time == time:
-                event = heapq.heappop(heap)
-                if not event.cancelled:
-                    self.now = time
-                    self.events_processed += 1
-                    event.callback(*event.args)
-                if not heap or heap[0].time != time:
-                    for callback, args in self._late.pop(time, ()):
-                        self.at(time, callback, *args)
+            while heap and heap[0][0] == time:
+                _time, _seq, callback, args = heapq.heappop(heap)
+                self.now = time
+                self.events_processed += 1
+                callback(*args)
+                if not heap or heap[0][0] != time:
+                    for late_callback, late_args in self._late.pop(time, ()):
+                        self.post_at(time, late_callback, late_args)
 
 
 class TestCalendarVsReferenceHeap:
@@ -385,22 +334,16 @@ class TestCalendarVsReferenceHeap:
         def drive(sched):
             rng = random.Random(seed)
             trace = []
-            cancellable = []
 
             def fire(tag, respawn):
                 trace.append((sched.now, tag))
                 if respawn > 0:
                     delay = rng.choice((0, 1, 2, 3, 17, RING_SIZE + 5, 4096))
-                    handle = sched.after(delay, fire, f"{tag}.{respawn}",
-                                         respawn - 1)
-                    if rng.random() < 0.2:
-                        cancellable.append(handle)
-                if cancellable and rng.random() < 0.3:
-                    cancellable.pop(rng.randrange(len(cancellable))).cancel()
+                    sched.post(delay, fire, (f"{tag}.{respawn}", respawn - 1))
 
             for i in range(25):
-                sched.after(rng.randrange(0, 3 * RING_SIZE), fire, str(i),
-                            rng.randrange(0, 4))
+                sched.post(rng.randrange(0, 3 * RING_SIZE), fire,
+                           (str(i), rng.randrange(0, 4)))
             sched.run()
             return trace, sched.now
 
@@ -417,11 +360,11 @@ class TestCalendarVsReferenceHeap:
             def fire(tag):
                 trace.append((sched.now, tag))
                 if rng.random() < 0.5:
-                    sched.after(rng.randrange(0, 2 * RING_SIZE), fire,
-                                tag + "'")
+                    sched.post(rng.randrange(0, 2 * RING_SIZE), fire,
+                               (tag + "'",))
 
             for i in range(20):
-                sched.after(rng.randrange(0, 4 * RING_SIZE), fire, str(i))
+                sched.post(rng.randrange(0, 4 * RING_SIZE), fire, (str(i),))
             for until in (10, RING_SIZE, 2 * RING_SIZE + 31, None):
                 sched.run(until=until)
                 trace.append(("now", sched.now))

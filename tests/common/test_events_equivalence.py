@@ -6,12 +6,11 @@ identical to ``_HeapScheduler``, the plain ``(time, seq)`` binary heap
 with late lanes in ``test_events.py``: same callback order, same
 ``now`` labels, same ``pending()`` at every event, same
 ``events_processed``.  Property-based scenarios mix the whole
-scheduling surface — ``at``/``after`` (cancellable handles),
-``post``/``post_at`` (flat fast path), ``post_late`` (late lanes),
-``post``/``post_late`` chained from inside callbacks, cancellation
-before and during the run, bounded runs, and sparse far-future delays
-that force overflow-heap migration (into never-allocated ring buckets)
-and quiescent window jumps.
+scheduling surface — ``post``/``post_at``, ``post_late`` (late lanes),
+records re-posted and chained from inside callbacks, ``halt()`` from
+inside a record, bounded runs, and sparse far-future delays that force
+overflow-heap migration (into never-allocated ring buckets) and
+quiescent window jumps.
 
 Extends the hand-rolled harness in ``test_events.py``
 (``TestCalendarVsReferenceHeap``); here hypothesis owns scenario
@@ -50,12 +49,10 @@ def _actions(delays):
     delay = st.sampled_from(delays)
     chain = st.integers(0, 3)
     return st.one_of(
-        st.tuples(st.just("after"), delay, st.integers(0, 2)),
-        st.tuples(st.just("at"), delay, st.integers(0, 2)),
+        st.tuples(st.just("respawn"), delay, st.integers(0, 2)),
         st.tuples(st.just("post"), delay, chain),
         st.tuples(st.just("post_at"), delay, chain),
         st.tuples(st.just("post_late"), delay, chain),
-        st.tuples(st.just("cancel"), st.integers(0, 63)),
     )
 
 
@@ -66,30 +63,46 @@ _far_programs = st.lists(
 _edge_programs = st.lists(_actions(EDGE_DELAYS), min_size=1, max_size=12)
 
 
-def _drive(sched, program, untils=()):
+def _drive(sched, program, untils=(), halts=()):
     """Run ``program`` on ``sched``; return the full observable trace.
 
     Respawning and chaining callbacks pick their delays deterministically
     from the program (tag arithmetic), so both kernels see byte-for-byte
-    the same scenario.  A chained record alternates ``post`` and
-    ``post_late`` at delays of 0-3 cycles, so late lanes get records
-    from inside the cycle they run in, both before and after the splice.
+    the same scenario.  A respawning record re-posts itself at any delay
+    of the full :data:`DELAYS` palette, far ones included.  A chained
+    record alternates ``post`` and ``post_late`` at delays of 0-3
+    cycles, so late lanes get records from inside the cycle they run
+    in, both before and after the splice.  The records whose run index
+    (0 = the first record to run) is in ``halts`` call ``halt()`` and
+    post one zero-delay record to each lane.  After the bounded
+    ``untils`` runs, ``run()`` is re-entered until the queue is empty
+    or a run makes no progress; ``now`` and ``pending()`` are logged
+    at every return.
     """
     trace = []
-    handles = []
     tags = iter(range(10**9))
+    runs = iter(range(10**9))
+
+    def note(tag):
+        trace.append((sched.now, tag, sched.pending()))
+
+    def log(tag):
+        note(tag)
+        if next(runs) in halts:
+            # The rest of the stop cycle, late lane included, still
+            # runs before run() returns.
+            sched.halt()
+            sched.post(0, note, ("after-halt",))
+            sched.post_late(0, note, ("late-after-halt",))
 
     def fire(tag, respawn):
-        trace.append((sched.now, tag, sched.pending()))
+        log(tag)
         if respawn > 0:
             delay = DELAYS[(tag * 7 + respawn) % len(DELAYS)]
-            handles.append(sched.after(delay, fire, tag + 1000, respawn - 1))
-        # Deterministic mid-run cancellation of an arbitrary live handle.
-        if handles and tag % 3 == 0:
-            handles.pop(tag % len(handles)).cancel()
+            sched.post(delay, fire, (tag + 1000, respawn - 1))
 
     def fire_post(tag, chain):
-        trace.append((sched.now, tag, sched.pending()))
+        log(tag)
         if chain > 0:
             delay = DELAYS[(tag + chain) % 4]
             nxt = (tag + 1000, chain - 1)
@@ -100,25 +113,25 @@ def _drive(sched, program, untils=()):
 
     for op in program:
         kind = op[0]
-        if kind == "after":
-            handles.append(sched.after(op[1], fire, next(tags), op[2]))
-        elif kind == "at":
-            handles.append(sched.at(sched.now + op[1], fire, next(tags), op[2]))
+        if kind == "respawn":
+            sched.post(op[1], fire, (next(tags), op[2]))
         elif kind == "post":
             sched.post(op[1], fire_post, (next(tags), op[2]))
         elif kind == "post_at":
             sched.post_at(sched.now + op[1], fire_post, (next(tags), op[2]))
-        elif kind == "post_late":
+        else:  # post_late
             sched.post_late(op[1], fire_post, (next(tags), op[2]))
-        else:  # cancel
-            if handles:
-                handles.pop(op[1] % len(handles)).cancel()
 
     for until in untils:
         sched.run(until=until)
         trace.append(("now", sched.now, sched.pending()))
-    sched.run()
-    return trace, sched.now, sched.events_processed, sched.pending()
+    while True:
+        before = sched.events_processed
+        sched.run()
+        trace.append(("now", sched.now, sched.pending()))
+        if not sched.pending() or sched.events_processed == before:
+            break  # drained, or stuck with records that never run
+    return trace, sched.now, sched.events_processed
 
 
 @settings(deadline=None, max_examples=60)
@@ -168,6 +181,21 @@ def test_calendar_matches_heap_with_until(program, untils):
     )
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    program=_programs,
+    halts=st.sets(st.integers(0, 40), min_size=1, max_size=3),
+)
+def test_calendar_matches_heap_with_halt(program, halts):
+    """``halt()`` from inside a record — normal or late, first in its
+    cycle or not — stops both kernels after the same cycle, with the
+    same ``now`` and ``pending()``; re-entering ``run()`` resumes
+    from there."""
+    assert _drive(Scheduler(), program, halts=halts) == _drive(
+        _HeapScheduler(), program, halts=halts
+    )
+
+
 @settings(deadline=None, max_examples=30)
 @given(
     delays=st.lists(
@@ -175,22 +203,16 @@ def test_calendar_matches_heap_with_until(program, untils):
         min_size=1,
         max_size=12,
     ),
-    cancel_mask=st.integers(0, 2**12 - 1),
 )
-def test_sparse_window_jumps_match(delays, cancel_mask):
+def test_sparse_window_jumps_match(delays):
     """Far-future-only scenarios: every event migrates through the
     overflow heap and the drain cursor batch-advances across long
-    quiescent spans; a subset is cancelled before running."""
+    quiescent spans."""
 
     def drive(sched):
         trace = []
-        handles = [
-            sched.after(d, lambda i=i: trace.append((sched.now, i)))
-            for i, d in enumerate(delays)
-        ]
-        for i, handle in enumerate(handles):
-            if cancel_mask & (1 << i):
-                handle.cancel()
+        for i, d in enumerate(delays):
+            sched.post(d, lambda i=i: trace.append((sched.now, i)))
         sched.run()
         return trace, sched.now, sched.events_processed, sched.pending()
 

@@ -45,7 +45,7 @@ class TestDirectoryLogicalTime:
         sched = Scheduler()
         lt = DirectoryLogicalTime(sched, skews=[0, 3], period=10)
         assert lt.now(0) == 0
-        sched.after(25, lambda: None)
+        sched.post(25, lambda: None)
         sched.run()
         assert lt.now(0) == 2  # 25 // 10
         assert lt.now(1) == 2  # (25+3) // 10
@@ -53,7 +53,7 @@ class TestDirectoryLogicalTime:
     def test_skew_shifts_reading(self):
         sched = Scheduler()
         lt = DirectoryLogicalTime(sched, skews=[0, 9], period=10)
-        sched.after(5, lambda: None)
+        sched.post(5, lambda: None)
         sched.run()
         assert lt.now(0) == 0
         assert lt.now(1) == 1  # (5+9)//10

@@ -38,10 +38,10 @@ class PollingHub(WakeHub):
 
     __slots__ = ()
 
-    def park(self, ws, callback, args, period=RETRY_PERIOD):
-        w = super().park(ws, callback, args, period)
+    def park(self, ws, callback, args):
+        w = super().park(ws, callback, args)
         if not w.armed:
-            self._arm(w, self._sched.now + w.period)
+            self._arm(w, self._sched.now + RETRY_PERIOD)
         return w
 
     def notify(self, ws):

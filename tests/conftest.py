@@ -40,44 +40,56 @@ def run_system(system: System, cycles: int = 50_000) -> None:
     system.scheduler.run(until=system.scheduler.now + cycles)
 
 
+def _await(system: System, cycles: int, issue) -> list:
+    """Call ``issue(done)`` and run until ``done`` fires.
+
+    ``done`` halts the kernel, so the run stops at the end of the
+    completion cycle (late lane included), or after ``cycles``.
+    Returns the values ``done`` received.
+    """
+    results = []
+
+    def done(value):
+        results.append(value)
+        system.scheduler.halt()
+
+    issue(done)
+    system.scheduler.run(until=system.scheduler.now + cycles)
+    return results
+
+
 def sync_load(system: System, node: int, addr: int, cycles: int = 50_000) -> int:
     """Issue a load at ``node`` and run until it completes."""
-    result = {}
-    system.cache_controllers[node].load(addr, lambda v: result.update(v=v))
-    system.scheduler.run(
-        until=system.scheduler.now + cycles, stop_when=lambda: "v" in result
+    results = _await(
+        system, cycles, lambda done: system.cache_controllers[node].load(addr, done)
     )
-    assert "v" in result, f"load of 0x{addr:x} at node {node} never completed"
-    return result["v"]
+    assert results, f"load of 0x{addr:x} at node {node} never completed"
+    return results[0]
 
 
 def sync_store(
     system: System, node: int, addr: int, value: int, cycles: int = 50_000
 ) -> int:
     """Issue a store at ``node`` and run until it performs."""
-    result = {}
-    system.cache_controllers[node].store(
-        addr, value, lambda old: result.update(old=old)
+    results = _await(
+        system,
+        cycles,
+        lambda done: system.cache_controllers[node].store(addr, value, done),
     )
-    system.scheduler.run(
-        until=system.scheduler.now + cycles, stop_when=lambda: "old" in result
-    )
-    assert "old" in result, f"store to 0x{addr:x} at node {node} never performed"
-    return result["old"]
+    assert results, f"store to 0x{addr:x} at node {node} never performed"
+    return results[0]
 
 
 def sync_atomic(
     system: System, node: int, addr: int, value: int, cycles: int = 50_000
 ) -> int:
-    result = {}
-    system.cache_controllers[node].atomic(
-        addr, value, lambda old: result.update(old=old)
+    results = _await(
+        system,
+        cycles,
+        lambda done: system.cache_controllers[node].atomic(addr, value, done),
     )
-    system.scheduler.run(
-        until=system.scheduler.now + cycles, stop_when=lambda: "old" in result
-    )
-    assert "old" in result
-    return result["old"]
+    assert results
+    return results[0]
 
 
 def unexpected_count(system: System) -> int:

@@ -131,7 +131,7 @@ class TestLostOperations:
         checker, log, sched = make_checker(TSO_TABLE)
         checker.committed(S, 0, cycle=0)
         interval = SystemConfig().dvmc.membar_injection_interval
-        sched.after(3 * interval, lambda: None)
+        sched.post(3 * interval, lambda: None)
         sched.run()  # periodic injected-membar checks fire
         assert any(r.kind == "lost-operation" for r in log.reports)
 
@@ -140,7 +140,7 @@ class TestLostOperations:
         checker.committed(S, 0, cycle=0)
         checker.performed(S, 0, ALL)
         interval = SystemConfig().dvmc.membar_injection_interval
-        sched.after(3 * interval, lambda: None)
+        sched.post(3 * interval, lambda: None)
         sched.run()
         assert not log.reports
 

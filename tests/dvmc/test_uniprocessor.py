@@ -76,7 +76,7 @@ class TestStorePath:
         checker, log, _, sched = make_checker()
         checker.commit_store(0, 0x100, 1)  # never performs
         interval = SystemConfig().dvmc.membar_injection_interval
-        sched.after(3 * interval, lambda: None)
+        sched.post(3 * interval, lambda: None)
         sched.run()
         assert any(r.kind == "store-lost" for r in log.reports)
 

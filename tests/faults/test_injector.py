@@ -1,6 +1,8 @@
 """Fault injector: every fault kind can land and mutate real state."""
 
+import pytest
 
+from repro.common.errors import SimulationError
 from repro.config import SystemConfig
 from repro.faults.injector import FaultInjector, FaultKind, FaultPlan
 from repro.system.builder import build_system
@@ -81,3 +83,16 @@ class TestProcessorFaults:
         injector.arm(FaultPlan(FaultKind.WB_VALUE_FLIP, 10))
         system.run(max_cycles=100_000, allow_incomplete=True)
         assert injector.records and not injector.records[0].landed
+
+
+class TestArming:
+    def test_arm_refuses_a_cycle_already_past(self):
+        """A plan due before the current cycle is refused outright, and
+        is not reported later as a plan that found no target."""
+        system = busy_system()
+        system.run_cycles(500)
+        injector = FaultInjector(system, seed=1)
+        with pytest.raises(SimulationError):
+            injector.arm(FaultPlan(FaultKind.MSG_DROP, 100))
+        system.run(allow_incomplete=True)
+        assert injector.records == []

@@ -140,18 +140,12 @@ def test_ring_grows_lazily_and_wraps():
 
 MODELS = [ConsistencyModel.SC, ConsistencyModel.TSO, ConsistencyModel.RMO]
 
-REGIMES = [
-    ("wake-express", {}),
-]
 
-
-def recorded_run(protocol, model, **build_kwargs):
+def recorded_run(protocol, model):
     config = SystemConfig.protected(
         protocol=protocol, model=model, num_nodes=4
     ).with_seed(11)
-    system = build_system(
-        config, workload="oltp", ops=30, span_sample=1, **build_kwargs
-    )
+    system = build_system(config, workload="oltp", ops=30, span_sample=1)
     system.run()
     return system.spans
 
@@ -181,11 +175,6 @@ class TestSystemSpanWellformedness:
     @pytest.mark.parametrize("model", MODELS)
     def test_protocol_model_grid(self, protocol, model):
         assert_wellformed(recorded_run(protocol, model))
-
-    @pytest.mark.parametrize("name,build_kwargs", REGIMES)
-    def test_execution_regimes(self, name, build_kwargs):
-        rec = recorded_run(ProtocolKind.DIRECTORY, ConsistencyModel.TSO, **build_kwargs)
-        assert_wellformed(rec)
 
     def test_chrome_export_round_trips(self, tmp_path):
         rec = recorded_run(ProtocolKind.DIRECTORY, ConsistencyModel.TSO)

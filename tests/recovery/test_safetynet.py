@@ -29,13 +29,13 @@ class TestCheckpointLifecycle:
     def test_checkpoints_advance_on_schedule(self):
         sched, sn = make_sn(interval=100)
         assert sn.live_checkpoints == 1
-        sched.after(350, lambda: None)
+        sched.post(350, lambda: None)
         sched.run(until=350)
         assert sn.live_checkpoints == 4  # t=0,100,200,300
 
     def test_old_checkpoints_retire(self):
         sched, sn = make_sn(interval=100, max_ckpts=3)
-        sched.after(1000, lambda: None)
+        sched.post(1000, lambda: None)
         sched.run(until=1000)
         assert sn.live_checkpoints == 3
 
@@ -47,20 +47,20 @@ class TestCheckpointLifecycle:
 class TestRecoverability:
     def test_recent_error_recoverable(self):
         sched, sn = make_sn(interval=100, max_ckpts=3)
-        sched.after(250, lambda: None)
+        sched.post(250, lambda: None)
         sched.run(until=250)
         assert sn.can_recover(error_cycle=200)
 
     def test_ancient_error_not_recoverable(self):
         sched, sn = make_sn(interval=100, max_ckpts=3)
-        sched.after(1000, lambda: None)
+        sched.post(1000, lambda: None)
         sched.run(until=1000)
         # Oldest live checkpoint is ~t=800; an error at t=100 is lost.
         assert not sn.can_recover(error_cycle=100)
 
     def test_recovery_point_selection(self):
         sched, sn = make_sn(interval=100, max_ckpts=8)
-        sched.after(450, lambda: None)
+        sched.post(450, lambda: None)
         sched.run(until=450)
         point = sn.recovery_point_for(error_cycle=230)
         assert point.start_cycle == 200
@@ -80,10 +80,10 @@ class TestUndoLogging:
         sched, sn = make_sn(interval=100, max_ckpts=8)
         # Interval 0: block written, old value 10.
         sn._on_block_write(0, 0x1000, block(10))
-        sched.after(150, lambda: None)
+        sched.post(150, lambda: None)
         sched.run(until=150)  # now in interval 1
         sn._on_block_write(0, 0x1000, block(20))
-        sched.after(100, lambda: None)
+        sched.post(100, lambda: None)
         sched.run(until=250)  # interval 2
         sn._on_block_write(0, 0x1000, block(30))
         current = {0x1000: block(40)}
@@ -96,7 +96,7 @@ class TestUndoLogging:
 
     def test_reconstruct_beyond_window_raises(self):
         sched, sn = make_sn(interval=100, max_ckpts=2)
-        sched.after(1000, lambda: None)
+        sched.post(1000, lambda: None)
         sched.run(until=1000)
         with pytest.raises(RecoveryError):
             sn.reconstruct_memory_image({}, error_cycle=-50)
