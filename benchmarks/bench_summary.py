@@ -44,6 +44,12 @@ def render_fuzz(report: dict) -> str:
     ):
         lines.append(f"| `{key}` | {_fmt(summary.get(key, 0))} |")
     lines.append("")
+    lines.append(
+        f"**Oracle**: {_fmt(summary.get('oracle_events', 0))} trace events, "
+        f"{_fmt(summary.get('oracle_branches', 0))} search branches "
+        f"(at most {_fmt(summary.get('oracle_branches_max', 0))} in one case)"
+    )
+    lines.append("")
     mismatches = report.get("mismatches", [])
     new = [m for m in mismatches if not m.get("known")]
     lines.append(

@@ -64,7 +64,7 @@ def cmd_run(args) -> int:
     for report in result.violations[:5]:
         print(f"  {report}")
     if args.stats:
-        for key, value in sorted(system.stats.as_dict().items()):
+        for key, value in sorted(system.stats.counters().items()):
             print(f"  {key} = {value}")
     if trace is not None:
         os.makedirs(os.path.dirname(os.path.abspath(args.op_trace)), exist_ok=True)

@@ -20,7 +20,7 @@ from .logical_time import (
     truncate,
 )
 from .rng import SplitRng
-from .stats import Histogram, StatsRegistry, mean_stddev
+from .stats import StatsRegistry, mean_stddev
 from .types import (
     BLOCK_SIZE,
     WORD_MASK,
@@ -47,7 +47,6 @@ __all__ = [
     "DeadlockError",
     "DirectoryLogicalTime",
     "EpochType",
-    "Histogram",
     "LogicalTimeBase",
     "MembarMask",
     "OpType",

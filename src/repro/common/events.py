@@ -468,12 +468,6 @@ class Scheduler:
                 # here.  Appends are whole records, so ``i`` and ``n``
                 # always land on record boundaries.
                 n = len(bucket)
-                if self._obs_on:
-                    records = n >> 1  # two slots per record
-                    self._obs_buckets += 1
-                    self._obs_bucket_events += records
-                    if records > self._obs_bucket_max:
-                        self._obs_bucket_max = records
                 while True:
                     if i == n:
                         n = len(bucket)
@@ -490,6 +484,14 @@ class Scheduler:
                     self._ring_count -= 1
                     done += 1
                     callback(*args)
+                if self._obs_on:
+                    # Counted after the drain, so same-cycle posts and
+                    # the spliced late lane are in.
+                    records = i >> 1  # two slots per record
+                    self._obs_buckets += 1
+                    self._obs_bucket_events += records
+                    if records > self._obs_bucket_max:
+                        self._obs_bucket_max = records
                 del bucket[:]
         finally:
             self._events_processed += done

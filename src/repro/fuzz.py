@@ -44,7 +44,7 @@ from repro.common.types import MembarMask
 from repro.config import SystemConfig
 from repro.consistency.models import ConsistencyModel
 from repro.faults.injector import ALL_FAULT_KINDS, FaultInjector, FaultKind, FaultPlan
-from repro.obs.fuzz_counters import OUTCOMES, FuzzCounters
+from repro.obs.fuzz_counters import OUTCOMES
 from repro.oracle import check_trace
 from repro.parallel import run_points
 from repro.processor.operations import Atomic, Compute, Load, Membar, Stbar, Store
@@ -451,12 +451,10 @@ class FuzzReport:
     """Everything a campaign learned, JSON-ready."""
 
     summary: Dict[str, int]
-    outcomes: Dict[str, int]
     mismatches: List[Dict]
     reproducers: List[str]
     corpus_size: int
     elapsed_seconds: float
-    hub_snapshot: Dict[str, Dict] = field(default_factory=dict)
     #: Flight-recorder artifacts (post-mortems + Chrome traces) written
     #: next to the reproducers.
     forensics: List[str] = field(default_factory=list)
@@ -529,16 +527,21 @@ def run_fuzz_campaign(
     jobs: Optional[int] = None,
     corpus_dir: Optional[str] = None,
     reproducer_dir: Optional[str] = None,
-    counters: Optional[FuzzCounters] = None,
     shrink: bool = True,
 ) -> FuzzReport:
     """Execute a case list and differential-check every run.
 
     Fatal mismatches are shrunk (serially, after the parallel sweep)
     and written to ``reproducer_dir``; mismatches whose shrunk shape is
-    already committed under ``corpus_dir`` are flagged ``known``.
+    already committed under ``corpus_dir`` are flagged ``known``.  The
+    summary counts cases per outcome, mismatches and shrink steps, and
+    totals the oracle's trace events and search branches.
     """
-    counters = counters or FuzzCounters()
+    summary = dict.fromkeys(
+        ("cases", *OUTCOMES, "mismatches", "mismatches_known", "shrink_steps"),
+        0,
+    )
+    summary.update(oracle_events=0, oracle_branches=0, oracle_branches_max=0)
     start = time.perf_counter()
     results = run_points(list(cases), jobs=jobs, worker=run_case)
     known = corpus_keys(corpus_dir) if corpus_dir else set()
@@ -547,7 +550,12 @@ def run_fuzz_campaign(
     forensics: List[str] = []
     undecided_explained = 0
     for result in results:
-        counters.record_case(result.outcome, result.oracle_stats)
+        branches = result.oracle_stats.get("branches", 0)
+        summary["cases"] += 1
+        summary[result.outcome] += 1
+        summary["oracle_events"] += result.oracle_stats.get("events", 0)
+        summary["oracle_branches"] += branches
+        summary["oracle_branches_max"] = max(summary["oracle_branches_max"], branches)
         if (
             result.outcome == "undecided"
             and reproducer_dir
@@ -570,9 +578,10 @@ def run_fuzz_campaign(
         case, detail = result.case, result.detail
         if shrink:
             case, steps = shrink_case(result.case)
-            counters.record_shrink_steps(steps)
+            summary["shrink_steps"] += steps
         is_known = case_key(case) in known
-        counters.record_mismatch(known=is_known)
+        summary["mismatches"] += 1
+        summary["mismatches_known"] += is_known
         entry = {
             "case": case.to_json(),
             "original": result.case.to_json(),
@@ -594,18 +603,11 @@ def run_fuzz_campaign(
                 artifacts = []
             forensics.extend(artifacts)
             entry["forensics"] = artifacts
-    outcomes = {
-        name: value
-        for name, value in counters.summary().items()
-        if name in OUTCOMES
-    }
     return FuzzReport(
-        summary=counters.summary(),
-        outcomes=outcomes,
+        summary=summary,
         mismatches=mismatches,
         reproducers=reproducers,
         corpus_size=len(corpus_files(corpus_dir)) if corpus_dir else 0,
         elapsed_seconds=round(time.perf_counter() - start, 3),
-        hub_snapshot=counters.snapshot(),
         forensics=forensics,
     )

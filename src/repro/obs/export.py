@@ -1,19 +1,19 @@
 """Run snapshots and exporters (JSON / Prometheus text format).
 
-``snapshot_system`` is the pull half of the observability plane: each
-layer exposes its own ``obs_snapshot()`` (scheduler, networks, cache
-arrays, DVMC checkers — the RealityCheck argument that a verification
-stack scales only when every layer is independently observable), and
-the snapshot combines those with the push-side :class:`~repro.obs.hub.
-MetricsHub` instruments and the phase timer of a machine built with
-``obs=True``.  The result is a plain JSON-safe dict that ``repro.cli
-run --obs`` prints as a phase table and ``--obs-dir`` writes as
-``snapshot.json``; taking it never changes the run.
+``snapshot_system`` is the pull half of the observability plane: it
+takes the machine's own counters from its
+:class:`~repro.common.stats.StatsRegistry`, the phase timer of a
+machine built with ``obs=True``, and each layer's ``obs_snapshot()``
+(scheduler, networks, cache arrays, DVMC checkers — the RealityCheck
+argument that a verification stack scales only when every layer is
+independently observable).  The result is a plain JSON-safe dict that
+``repro.cli run --obs`` prints as a phase table and ``--obs-dir``
+writes as ``snapshot.json``; taking it never changes the run.
 
 ``to_prometheus`` renders a snapshot in the Prometheus text exposition
-format (counters/gauges plus ``_count``/``_sum``/``_min``/``_max``
-series per histogram) so a run's metrics can be scraped, diffed, or
-uploaded as a CI artifact without bespoke tooling.
+format (every simulation counter as a ``_total`` counter series, the
+phase and layer figures as gauges) so a run's metrics can be scraped,
+diffed, or uploaded as a CI artifact without bespoke tooling.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ PROM_PREFIX = "repro"
 
 def snapshot_system(system) -> Dict[str, Any]:
     """Plain-data observability snapshot of a built system."""
-    snap: Dict[str, Any] = system.obs.snapshot()
-    snap["phases"] = system.obs_phases.snapshot()
-
     layers: Dict[str, Any] = {"scheduler": system.scheduler.obs_snapshot()}
 
     networks: Dict[str, Any] = {}
@@ -47,8 +44,11 @@ def snapshot_system(system) -> Dict[str, Any]:
     }
     layers["dvmc"] = system.dvmc.obs_snapshot()
     layers["wakeups"] = system.wake_hub.obs_snapshot()
-    snap["layers"] = layers
-    return snap
+    return {
+        "counters": system.stats.counters(),
+        "phases": system.obs_phases.snapshot(),
+        "layers": layers,
+    }
 
 
 def _flatten(prefix: str, value: Any, out: List) -> None:
@@ -76,8 +76,8 @@ def to_prometheus(snapshot: Dict[str, Any], prefix: str = PROM_PREFIX) -> str:
     """Render a snapshot in the Prometheus text exposition format.
 
     Counters become ``<prefix>_<name>_total`` counter series; every
-    other numeric leaf (gauges, histogram fields, phase seconds, layer
-    snapshots) becomes a gauge.  Deeply nested keys flatten with ``_``.
+    numeric leaf of the phases and layer snapshots becomes a gauge.
+    Deeply nested keys flatten with ``_``.
     """
     lines: List[str] = []
 
@@ -88,7 +88,7 @@ def to_prometheus(snapshot: Dict[str, Any], prefix: str = PROM_PREFIX) -> str:
         lines.append(f"{name} {value}")
 
     flat: List = []
-    for section in ("gauges", "histograms", "phases", "layers"):
+    for section in ("phases", "layers"):
         _flatten(section, snapshot.get(section, {}), flat)
     for key, value in flat:
         name = f"{prefix}_{sanitize_metric_name(key)}"

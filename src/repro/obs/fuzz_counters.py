@@ -1,18 +1,10 @@
-"""Fuzz-campaign counters on the observability plane's instruments.
+"""Differential fuzz outcome names.
 
-The differential fuzz driver (:mod:`repro.fuzz`) runs entirely off the
-simulation hot path, so unlike the rest of the plane its counters are
-always live — campaign stats are a product, not a diagnostic.  The
-instruments are the shared :class:`~repro.obs.hub.MetricsHub` types,
-so a campaign snapshot drops straight into the same exporters and
-summary tooling as any other run snapshot.
+The campaign itself counts its summary in plain ints
+(:func:`repro.fuzz.run_fuzz_campaign`).  :data:`OUTCOMES` stays in
+this module because the layer ledger (``benchmarks/ledger/workloads.py``)
+imports it from here.
 """
-
-from __future__ import annotations
-
-from typing import Dict
-
-from repro.obs.hub import MetricsHub
 
 #: Differential outcome classes (see ``repro.fuzz.classify``).
 OUTCOMES = (
@@ -22,47 +14,3 @@ OUTCOMES = (
     "missed_violation",
     "undecided",
 )
-
-
-class FuzzCounters:
-    """Counters and histograms for one differential campaign."""
-
-    def __init__(self, hub: MetricsHub | None = None):
-        self.hub = hub if hub is not None else MetricsHub()
-        self._cases = self.hub.counter("fuzz.cases")
-        self._outcomes = {
-            name: self.hub.counter(f"fuzz.outcome.{name}") for name in OUTCOMES
-        }
-        self._mismatches = self.hub.counter("fuzz.mismatches")
-        self._known = self.hub.counter("fuzz.mismatches.known")
-        self._shrink_steps = self.hub.counter("fuzz.shrink.steps")
-        self._events = self.hub.histogram("fuzz.trace.events")
-        self._branches = self.hub.histogram("fuzz.oracle.branches")
-
-    def record_case(self, outcome: str, oracle_stats: Dict[str, int]) -> None:
-        self._cases.add()
-        self._outcomes[outcome].add()
-        self._events.record(oracle_stats.get("events", 0))
-        self._branches.record(oracle_stats.get("branches", 0))
-
-    def record_mismatch(self, known: bool) -> None:
-        self._mismatches.add()
-        if known:
-            self._known.add()
-
-    def record_shrink_steps(self, steps: int) -> None:
-        self._shrink_steps.add(steps)
-
-    def snapshot(self) -> Dict[str, Dict]:
-        """Hub snapshot (exporter-compatible)."""
-        return self.hub.snapshot()
-
-    def summary(self) -> Dict[str, int]:
-        """Flat campaign summary for the stats JSON / job summary."""
-        out = {"cases": self._cases.value}
-        for name, counter in self._outcomes.items():
-            out[name] = counter.value
-        out["mismatches"] = self._mismatches.value
-        out["mismatches_known"] = self._known.value
-        out["shrink_steps"] = self._shrink_steps.value
-        return out

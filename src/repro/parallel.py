@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -69,10 +68,6 @@ class RunMetrics:
     violations: int
     events_processed: int
     counters: Dict[str, int] = field(default_factory=dict)
-
-    def counter_sum(self, prefix: str) -> int:
-        """Sum of counters under ``prefix`` (StatsRegistry.sum analogue)."""
-        return sum(v for k, v in self.counters.items() if k.startswith(prefix))
 
     def counter_max(self, prefix: str) -> int:
         """Largest counter under ``prefix`` (StatsRegistry.max_over analogue)."""
@@ -179,56 +174,17 @@ atexit.register(discard_pool)
 
 
 def _indexed_call(item: Tuple[int, Callable, object]):
-    """Shippable wrapper: run one spec, return (index, error, result,
-    elapsed_seconds).
+    """Shippable wrapper: run one spec, return (index, error, result).
 
     Worker exceptions come back as values instead of poisoning the
     pool, so one bad spec aborts the batch without costing the warm
-    workers.  The elapsed time feeds the pool utilization metric in
-    the parent and never touches the deterministic result payload.
+    workers.
     """
     index, worker, spec = item
-    start = time.perf_counter()
     try:
-        return index, None, worker(spec), time.perf_counter() - start
+        return index, None, worker(spec)
     except BaseException as exc:  # noqa: BLE001 - reported to the caller
-        return index, str(exc) or type(exc).__name__, None, (
-            time.perf_counter() - start
-        )
-
-
-# ---------------------------------------------------------------------------
-# Pool observability
-# ---------------------------------------------------------------------------
-
-_last_obs: Optional[Dict] = None
-
-
-def last_run_obs() -> Optional[Dict]:
-    """Pool view of the most recent :func:`run_points` batch.
-
-    Plain data (jobs, wall seconds, per-task seconds, utilization),
-    recorded for every batch; it describes the pool, never the
-    simulated systems.
-    """
-    return dict(_last_obs) if _last_obs is not None else None
-
-
-def _note_execution(
-    jobs: int, wall_s: float, latencies: List[float]
-) -> None:
-    """Record one batch's pool metrics (results untouched)."""
-    global _last_obs
-    task_s = sum(latencies)
-    busy = wall_s * jobs
-    _last_obs = {
-        "jobs": jobs,
-        "specs": len(latencies),
-        "wall_s": wall_s,
-        "task_s_total": task_s,
-        "task_s_max": max(latencies, default=0.0),
-        "utilization": (task_s / busy) if busy > 0 else 0.0,
-    }
+        return index, str(exc) or type(exc).__name__, None
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +207,8 @@ def run_points(
     """
     specs = list(specs)
     jobs = resolve_jobs(jobs)
-    start = time.perf_counter()
-    latencies: List[float] = []
     if jobs <= 1 or len(specs) <= 1:
-        results_serial: List[ResultT] = []
-        for spec in specs:
-            t0 = time.perf_counter()
-            results_serial.append(worker(spec))
-            latencies.append(time.perf_counter() - t0)
-        _note_execution(1, time.perf_counter() - start, latencies)
-        return results_serial
+        return [worker(spec) for spec in specs]
 
     results: List[Optional[ResultT]] = [None] * len(specs)
     pool = _get_pool(jobs)
@@ -268,14 +216,13 @@ def run_points(
     done = 0
     try:
         # Streamed in order: workers pull specs as they free up, the
-        # parent consumes (index, error, result, elapsed) records as
-        # they complete, and a failure aborts the batch promptly
-        # without tearing down the warm pool.
-        for index, error, value, elapsed in pool.map(_indexed_call, items):
+        # parent consumes (index, error, result) records as they
+        # complete, and a failure aborts the batch promptly without
+        # tearing down the warm pool.
+        for index, error, value in pool.map(_indexed_call, items):
             if error is not None:
                 raise ParallelRunError(index, specs[index], error)
             results[index] = value
-            latencies.append(elapsed)
             done += 1
     except BrokenProcessPool as exc:
         discard_pool()
@@ -283,5 +230,4 @@ def run_points(
         raise ParallelRunError(
             index, specs[index], "worker process died"
         ) from exc
-    _note_execution(jobs, time.perf_counter() - start, latencies)
     return results  # type: ignore[return-value]

@@ -43,7 +43,7 @@ from repro.interconnect.message import Message, release as release_message
 from repro.interconnect.torus import TorusNetwork
 from repro.memory.cache import CacheArray
 from repro.memory.memory import MainMemory
-from repro.obs import NULL_HUB, NULL_TIMER, MetricsHub, PhaseTimer
+from repro.obs import NULL_TIMER, PhaseTimer
 from repro.obs.spans import SpanRecorder
 from repro.processor.core import Core
 from repro.recovery.safetynet import SafetyNet
@@ -100,9 +100,8 @@ class System:
         #: Callbacks invoked after every :meth:`run` returns, e.g. a
         #: fault injector flushing a still-pending plan as not-landed.
         self.finalizers: List[Callable[[], None]] = []
-        #: Observability plane (null objects unless built with
-        #: ``obs=True``; never feeds back into the simulation).
-        self.obs = NULL_HUB
+        #: Phase timer (the null timer unless built with ``obs=True``;
+        #: never feeds back into the simulation).
         self.obs_phases = NULL_TIMER
         #: Transaction flight recorder (a SpanRecorder when built with
         #: ``span_sample > 0``; never feeds back into the run).
@@ -150,14 +149,6 @@ class System:
                 finalize()
         with phases.phase("serialize"):
             result = RunResult(self)
-            if self.obs.enabled:
-                self.obs.counter("run.events_processed").add(
-                    self.scheduler.obs_snapshot()["events_processed"]
-                )
-                self.obs.counter("run.violations").add(
-                    len(self.dvmc.violations)
-                )
-                self.obs.gauge("run.cycles").set(self.scheduler.now)
             if self.spans is not None:
                 self.spans.finalize(self.scheduler.now)
         if not result.completed and not allow_incomplete:
@@ -260,8 +251,8 @@ def build_system(
         ops: approximate per-core operation count for the workload.
         programs: optional explicit per-core generator list (length
             ``config.num_nodes``) for custom programs and litmus tests.
-        obs: give the machine a metrics hub, a phase timer and the
-            kernel and checker obs counters.
+        obs: give the machine a phase timer and the kernel and
+            checker obs counters.
         span_sample: flight recorder stride: 0 records nothing, N
             records every Nth memory operation, and 1 records every
             operation plus the infrastructure spans that belong to
@@ -280,7 +271,6 @@ def build_system(
 
     # Observability -------------------------------------------------------
     if obs:
-        system.obs = MetricsHub()
         system.obs_phases = PhaseTimer()
         sched.attach_obs()
     spans = SpanRecorder(sample=span_sample) if span_sample else None

@@ -184,6 +184,24 @@ class TestCalendarQueueEdges:
         assert seen == [RING_SIZE + 13]
 
 
+def _noop():
+    pass
+
+
+#: Ways a record joins the bucket being drained, each with the events
+#: its cycle then runs, the posting record included.  A late record
+#: brings its lane's sentinel; a late record's own posts run after
+#: the lane.
+JOINS = {
+    "post": (lambda s: s.post(0, _noop), 2),
+    "post_at": (lambda s: s.post_at(s.now, _noop), 2),
+    "post_late": (lambda s: s.post_late(0, _noop), 3),
+    "post+post_late": (lambda s: (s.post(0, _noop), s.post_late(0, _noop)), 4),
+    "late_posts": (lambda s: s.post_late(0, s.post, (0, _noop)), 4),
+    "late_posts_late": (lambda s: s.post_late(0, s.post_late, (0, _noop)), 5),
+}
+
+
 class TestObsCounters:
     def test_obs_counts_records_not_slots(self):
         """Bucket occupancy counts records (two slots each); records
@@ -210,6 +228,21 @@ class TestObsCounters:
         assert snap["window_jumps"] == 1
         assert snap["events_processed"] == 7
         assert snap["pending"] == 0
+
+    @pytest.mark.parametrize("joins", sorted(JOINS))
+    def test_occupancy_counts_records_that_join_the_drain(self, joins):
+        """Records posted into the cycle being drained run in its
+        bucket, so they count in its occupancy."""
+        post, events = JOINS[joins]
+        s = Scheduler()
+        s.attach_obs()
+        s.post(5, post, (s,))
+        s.run()
+        snap = s.obs_snapshot()
+        assert snap["events_processed"] == events
+        assert snap["buckets_drained"] == 1
+        assert snap["bucket_events"] == events
+        assert snap["bucket_occupancy_max"] == events
 
 
 class TestLazyBuckets:
@@ -254,10 +287,6 @@ class TestLazyBuckets:
         s.run()
         assert out == [(None, "post")] + [(t, t) for t in times]
         assert s.pending() == 0
-
-
-def _noop():
-    pass
 
 
 class _HeapScheduler:

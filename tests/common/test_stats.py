@@ -1,8 +1,11 @@
 """Statistics registry."""
 
+import importlib
+
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.stats import Histogram, StatsRegistry, mean_stddev
+from repro.common.stats import StatsRegistry, mean_stddev
 
 
 class TestCounters:
@@ -37,38 +40,65 @@ class TestCounters:
         assert list(s.counters_with_prefix("x.")) == ["x.a"]
 
 
-class TestHistogram:
-    def test_mean_and_bounds(self):
-        h = Histogram()
-        for value in (1, 2, 3):
-            h.record(value)
-        assert h.mean == 2
-        assert h.min == 1 and h.max == 3
-        assert h.count == 3
+class TestOnePlane:
+    """Every key is one slot of ``values``: ``incr`` and preresolved
+    handles count into the same place, and every read sees it."""
 
-    def test_stddev_of_constant_is_zero(self):
-        h = Histogram()
-        for _ in range(5):
-            h.record(7)
-        assert h.stddev == 0
-
-    def test_mean_clamped_into_observed_range(self):
-        # 0.1 + 0.1 + 0.1 = 0.30000000000000004: without clamping the
-        # mean lands a ULP above max.
-        h = Histogram()
-        for _ in range(3):
-            h.record(0.1)
-        assert h.mean == 0.1
-        assert h.min <= h.mean <= h.max
-
-    def test_registry_histograms(self):
+    def test_handle_and_incr_share_a_slot(self):
         s = StatsRegistry()
-        s.record("lat", 10)
-        s.record("lat", 20)
-        assert s.histogram("lat").mean == 15
-        flattened = s.as_dict()
-        assert flattened["lat.mean"] == 15
-        assert flattened["lat.count"] == 2
+        h = s.handle("l1.0.accesses")
+        s.values[h] += 3
+        s.incr("l1.0.accesses", 2)
+        s.incr("l1.1.accesses")
+        assert s.handle("l1.0.accesses") == h
+        assert s.values[h] == 5
+        assert s.counter("l1.0.accesses") == 5
+        assert s.counters() == {"l1.0.accesses": 5, "l1.1.accesses": 1}
+        assert s.sum("l1.") == 6
+        assert len(s.values) == 2
+
+    def test_unbumped_slot_is_invisible(self):
+        s = StatsRegistry()
+        s.handle("net.data.link.0-1")
+        h = s.handle("net.data.link.1-2")
+        s.incr("core.0.retired")
+        assert s.counter("net.data.link.0-1") == 0
+        assert s.counters() == {"core.0.retired": 1}
+        assert s.sum("net.") == 0
+        assert s.max_over("net.") == ("", 0)
+        assert s.counters_with_prefix("net.") == {}
+        s.values[h] += 7
+        assert s.counters_with_prefix("net.") == {"net.data.link.1-2": 7}
+        assert s.max_over("net.") == ("net.data.link.1-2", 7)
+
+
+RETIRED_SURFACE = {
+    "repro.obs.hub": ("repro.obs.hub", None, None),
+    "repro.obs.MetricsHub": ("repro.obs", None, "MetricsHub"),
+    "repro.obs.NULL_HUB": ("repro.obs", None, "NULL_HUB"),
+    "StatsRegistry.record": ("repro.common.stats", "StatsRegistry", "record"),
+    "StatsRegistry.histogram": ("repro.common.stats", "StatsRegistry", "histogram"),
+    "StatsRegistry.as_dict": ("repro.common.stats", "StatsRegistry", "as_dict"),
+    "repro.common.Histogram": ("repro.common", None, "Histogram"),
+    "FuzzCounters": ("repro.obs.fuzz_counters", None, "FuzzCounters"),
+    "RunMetrics.counter_sum": ("repro.parallel", "RunMetrics", "counter_sum"),
+    "last_run_obs": ("repro.parallel", None, "last_run_obs"),
+}
+
+
+@pytest.mark.parametrize("name", RETIRED_SURFACE)
+def test_retired_counter_surface_is_gone(name):
+    """One counter store: the metrics hub, the histogram plane and the
+    pool's batch record are gone, not merely unused."""
+    module, owner, attr = RETIRED_SURFACE[name]
+    if attr is None:
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+        return
+    obj = importlib.import_module(module)
+    if owner is not None:
+        obj = getattr(obj, owner)
+    assert not hasattr(obj, attr)
 
 
 class TestMeanStddev:

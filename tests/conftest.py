@@ -94,11 +94,7 @@ def sync_atomic(
 
 def unexpected_count(system: System) -> int:
     """Total 'unexpected message' counters (must be 0 fault-free)."""
-    return sum(
-        v
-        for k, v in system.stats.as_dict().items()
-        if "unexpected" in str(k)
-    )
+    return sum(v for k, v in system.stats.counters().items() if "unexpected" in k)
 
 
 @pytest.fixture(params=[ProtocolKind.DIRECTORY, ProtocolKind.SNOOPING])

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro import fuzz
 from repro.fuzz import (
+    CaseResult,
     FuzzCase,
     case_key,
     classify,
@@ -77,11 +79,53 @@ def test_small_campaign_runs_clean(tmp_path):
     report = run_fuzz_campaign(
         cases, jobs=1, corpus_dir=str(tmp_path), reproducer_dir=str(tmp_path)
     )
-    assert report.summary["cases"] == len(cases)
-    assert report.summary["missed_violation"] == 0
+    summary = report.summary
+    assert summary["cases"] == len(cases)
+    assert summary["missed_violation"] == 0
+    assert summary["oracle_events"] > 0
+    assert not {"hub_snapshot", "outcomes"} & set(report.to_json())
     # online_only is legitimate for the fault-injected case (DVMC
     # detecting the landed fault); it is fatal only without a fault.
     assert not report.new_mismatches
+
+
+def test_summary_counts_every_result(monkeypatch, tmp_path):
+    """The summary is plain ints: cases per outcome, mismatches (and
+    the known ones) with their shrink steps, and oracle totals."""
+    cases = [FuzzCase(model="TSO", seed=n, nodes=n, ops=20) for n in (2, 3, 4)]
+    outcomes = {2: "agree_clean", 3: "missed_violation", 4: "missed_violation"}
+    branches = {2: 4, 3: 9, 4: 0}
+
+    def fake_run_case(case):
+        return CaseResult(
+            case=case,
+            outcome=outcomes[case.seed],
+            online_clean=True,
+            oracle_admissible=case.seed == 2,
+            oracle_decided=True,
+            completed=True,
+            oracle_stats={"events": 10 * case.seed, "branches": branches[case.seed]},
+        )
+
+    monkeypatch.setattr(fuzz, "run_case", fake_run_case)
+    monkeypatch.setattr(fuzz, "shrink_case", lambda case: (case, 5))
+    write_reproducer(cases[1], "committed", str(tmp_path))
+    report = run_fuzz_campaign(cases, jobs=1, corpus_dir=str(tmp_path))
+    assert report.summary == {
+        "cases": 3,
+        "agree_clean": 1,
+        "agree_violation": 0,
+        "online_only": 0,
+        "missed_violation": 2,
+        "undecided": 0,
+        "mismatches": 2,
+        "mismatches_known": 1,
+        "shrink_steps": 10,
+        "oracle_events": 90,
+        "oracle_branches": 13,
+        "oracle_branches_max": 9,
+    }
+    assert [m["known"] for m in report.mismatches] == [True, False]
 
 
 def test_reproducer_file_name_is_stable(tmp_path):

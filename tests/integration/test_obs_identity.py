@@ -11,10 +11,10 @@ stay inert.
 
 import pytest
 
-from repro.config import SystemConfig
-from repro.obs import NULL_HUB, NULL_TIMER
+from repro.config import ProtocolKind, SystemConfig
+from repro.obs import NULL_TIMER
 from repro.obs.export import snapshot_system
-from repro.parallel import RunSpec, last_run_obs, run_points
+from repro.parallel import RunSpec
 from repro.system.builder import build_system
 
 SPEC = RunSpec(SystemConfig.protected().with_seed(3), "oltp", 80)
@@ -44,22 +44,30 @@ class TestObsIdentity:
         # Full deterministic payload: cycles, completion, violations,
         # events and every stats counter.
         assert base == payload
-        assert plain.obs is NULL_HUB and plain.obs_phases is NULL_TIMER
-        assert observed.obs.enabled
+        assert plain.obs_phases is NULL_TIMER
+        assert observed.obs_phases is not NULL_TIMER
 
     def test_violation_reports_identical(self):
         spec = RunSpec(SystemConfig.protected().with_seed(5), "oltp", 80)
         _, base = run_payload(spec)
         system, payload = run_payload(spec, obs=True)
         assert base == payload
-        assert system.obs.enabled
+        assert system.obs_phases is not NULL_TIMER
 
     def test_snapshot_layers_cover_every_subsystem(self):
         system, _ = run_payload(SPEC, obs=True)
         snapshot = snapshot_system(system)
+        assert set(snapshot) == {"counters", "phases", "layers"}
+        assert snapshot["counters"] == system.stats.counters()
         layers = snapshot["layers"]
         assert layers["scheduler"]["events_processed"] > 0
         assert layers["scheduler"]["buckets_drained"] > 0
+        # Occupancy is counted after each drain: same-cycle posts and
+        # the late lane run in the bucket, so every event is in it.
+        assert (
+            layers["scheduler"]["bucket_events"]
+            == layers["scheduler"]["events_processed"]
+        )
         assert layers["networks"]["data"]["messages_sent"] > 0
         assert layers["caches"]["l1.0"]["accesses"] > 0
         assert layers["dvmc"]["violations"] == len(system.violations)
@@ -67,12 +75,15 @@ class TestObsIdentity:
         phases = snapshot["phases"]["exclusive"]
         assert set(phases) == {"simulate", "verify", "drain", "serialize"}
 
-    def test_pool_obs_reports_batch_metrics(self):
-        run_points([SPEC, SPEC], jobs=1)
-        batch = last_run_obs()
-        assert batch["jobs"] == 1
-        assert batch["specs"] == 2
-        assert batch["task_s_total"] > 0
+    def test_snooping_snapshot_covers_the_address_network(self):
+        config = SystemConfig.protected(protocol=ProtocolKind.SNOOPING)
+        system, _ = run_payload(RunSpec(config.with_seed(3), "oltp", 40), obs=True)
+        snapshot = snapshot_system(system)
+        assert snapshot["counters"] == system.stats.counters()
+        assert snapshot["counters"]["net.addr.link.root-0"] > 0
+        assert snapshot["layers"]["networks"]["addr"]["messages_sent"] > 0
+        scheduler = snapshot["layers"]["scheduler"]
+        assert scheduler["bucket_events"] == scheduler["events_processed"]
 
 
 #: The four ways a process could turn observability on before
@@ -104,7 +115,7 @@ def test_retired_switches_are_inert(name, monkeypatch, tmp_path):
     for var, value in RETIRED_SWITCHES[name].items():
         monkeypatch.setenv(var, value.format(tmp=tmp_path))
     system, payload = run_payload(spec)
-    assert system.obs is NULL_HUB and system.obs_phases is NULL_TIMER
+    assert system.obs_phases is NULL_TIMER
     assert system.spans is None
     assert not (tmp_path / "tail.jsonl").exists()
     assert not (tmp_path / "trace.json").exists()

@@ -41,7 +41,7 @@ class TestDeliverAt:
         sched.run()
         assert got == [a, b, c]  # arrival order preserved
         assert net.deliveries_coalesced == 2
-        assert stats.as_dict()["net.n.coalesced_deliveries"] == 2
+        assert stats.counter("net.n.coalesced_deliveries") == 2
 
     def test_different_cycles_do_not_coalesce(self):
         sched, _, net = make_net()

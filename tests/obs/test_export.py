@@ -11,8 +11,6 @@ from repro.obs.export import (
 def sample_snapshot():
     return {
         "counters": {"run.events": 100},
-        "gauges": {"run.cycles": 15000},
-        "histograms": {"pool.task_s": {"count": 2, "sum": 3.0}},
         "phases": {
             "exclusive": {"simulate": 0.75, "verify": 0.25},
             "inclusive": {"simulate": 0.75, "verify": 0.25},
@@ -41,7 +39,6 @@ class TestToPrometheus:
 
     def test_numeric_leaves_become_gauges(self):
         text = to_prometheus(sample_snapshot())
-        assert "repro_gauges_run_cycles 15000" in text
         assert "repro_phases_exclusive_simulate 0.75" in text
         assert "repro_layers_caches_l1_0_hit_rate 0.5" in text
 

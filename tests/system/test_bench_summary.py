@@ -57,6 +57,13 @@ def test_tabulates_every_outcome_of_a_campaign(fuzz_stats):
         assert f"| `{key}` | {report['summary'][key]:,} |" in text
     assert report["summary"]["cases"] > 0
     assert "**Mismatches**: 0 total, 0 new" in text
+    summary = report["summary"]
+    assert summary["oracle_events"] > 0
+    assert (
+        f"**Oracle**: {summary['oracle_events']:,} trace events, "
+        f"{summary['oracle_branches']:,} search branches "
+        f"(at most {summary['oracle_branches_max']:,} in one case)"
+    ) in text
 
 
 def test_mismatches_are_marked_known_or_new():
@@ -73,6 +80,8 @@ def test_mismatches_are_marked_known_or_new():
     text = _load().render_fuzz(report)
     assert "| `cases` | 1,200 |" in text
     assert "| `undecided` | 0 |" in text
+    # A stats file without the oracle totals renders them as 0.
+    assert "**Oracle**: 0 trace events, 0 search branches (at most 0" in text
     assert "**Mismatches**: 2 total, 1 new (corpus holds 3 known" in text
     assert f"- known `online_only`: `{json.dumps(case)}`" in text
     assert f"- **NEW** `online_only`: `{json.dumps(case)}`" in text

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import _config, build_parser, main
 from repro.obs.manifest import code_fingerprint, config_hash
+from repro.system.builder import build_system
 from repro.verify.trace import load_jsonl
 
 
@@ -77,6 +78,21 @@ class TestCommands:
         assert "DETECTED" in out or "not detected" in out
 
 
+class TestRunStats:
+    RUN = ["run", "--workload", "jbb", "--nodes", "2", "--ops", "40", "--seed", "3"]
+
+    def test_prints_every_counter_of_the_registry(self, capsys):
+        assert main(self.RUN + ["--stats"]) == 0
+        printed = [
+            line for line in capsys.readouterr().out.splitlines() if " = " in line
+        ]
+        args = build_parser().parse_args(self.RUN)
+        system = build_system(_config(args, protected=True), workload="jbb", ops=40)
+        system.run()
+        counters = sorted(system.stats.counters().items())
+        assert printed == [f"  {key} = {value}" for key, value in counters]
+
+
 class TestObsArtifacts:
     """``run --obs --obs-dir`` writes the artifacts CI's bench job uploads."""
 
@@ -103,9 +119,13 @@ class TestObsArtifacts:
         assert manifest["code_fingerprint"] == code_fingerprint()
 
         snapshot = json.loads((out_dir / "snapshot.json").read_text())
+        assert sorted(snapshot) == ["counters", "layers", "phases"]
+        assert snapshot["counters"]["l1.0.accesses"] > 0
         assert snapshot["layers"]["scheduler"]["events_processed"] > 0
         prom = (out_dir / "metrics.prom").read_text()
         assert "# TYPE repro_layers_scheduler_events_processed gauge" in prom
+        accesses = snapshot["counters"]["l1.0.accesses"]
+        assert f"\nrepro_l1_0_accesses_total {accesses}\n" in prom
 
     def test_obs_dir_without_obs_writes_nothing(self, tmp_path, capsys):
         out_dir = tmp_path / "obs_artifacts"
