@@ -22,8 +22,6 @@ from repro.interconnect.message import (
     FLAG_DATA_COMING,
     FLAG_HAVE_LINE,
     Message,
-    acquire,
-    release,
 )
 from repro.memory.cache import CacheArray
 from repro.memory.memory import MainMemory
@@ -106,7 +104,7 @@ class DirectoryCacheController(BaseCacheController):
             if data is not None
             else self.config.network.control_message_bytes
         )
-        msg = acquire(self.node, dst, kind, addr, data, size, req=req, flags=flags)
+        msg = Message(self.node, dst, kind, addr, data, size, req=req, flags=flags)
         if tid:
             msg.tid = tid
         self.network.send(msg)
@@ -156,9 +154,6 @@ class DirectoryCacheController(BaseCacheController):
             self._writeback_done(msg.addr, stale=True)
         else:
             self.unexpected(f"kind_{kind}")
-            return
-        # Sole consumer of this record; payload copies were taken above.
-        release(msg)
 
     # Transaction replies -------------------------------------------------
     def _txn(self, addr: int) -> Optional[_DirTransaction]:
@@ -374,7 +369,7 @@ class DirectoryMemoryController:
             if data is not None
             else self.config.network.control_message_bytes
         )
-        msg = acquire(
+        msg = Message(
             self.node, dst, kind, addr, data, size,
             req=req, acks=acks, flags=flags,
         )
@@ -390,7 +385,6 @@ class DirectoryMemoryController:
         block = msg.addr & ~63  # block_of, inlined
         if msg.kind is Coh.UNBLOCK:
             self._on_unblock(block)
-            release(msg)
             return
         if block in self._busy:
             queue = self._queue.get(block)
@@ -411,10 +405,6 @@ class DirectoryMemoryController:
             self._on_putm(msg, block)
         else:
             self._values[self._h_unexpected] += 1
-            return
-        # Done with the record (queued requests release here, when the
-        # unblock drain finally processes them).
-        release(msg)
 
     def _supply(
         self, requestor: int, block: int, data: List[int], tid: int

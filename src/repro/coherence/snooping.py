@@ -22,7 +22,7 @@ from repro.common.stats import StatsRegistry
 from repro.common.types import CoherenceState, EpochType, block_of, word_index
 from repro.config import SystemConfig
 from repro.interconnect.base import Network
-from repro.interconnect.message import Message, acquire, release
+from repro.interconnect.message import Message
 from repro.memory.cache import CacheArray
 from repro.memory.memory import MainMemory
 from repro.obs.spans import K_OWNER
@@ -92,9 +92,6 @@ class SnoopingCacheController(BaseCacheController):
 
     # -- outbound ---------------------------------------------------------
     def _broadcast(self, kind: Snoop, addr: int, tid: int = 0) -> None:
-        # Snoop broadcasts fan out to two consumers per node (cache and
-        # memory controller) and are therefore never pooled: plain
-        # construction, no release.
         msg = Message(
             src=self.node,
             dst=-1,  # rewritten per delivery by the broadcast net
@@ -109,7 +106,7 @@ class SnoopingCacheController(BaseCacheController):
     def _send_data(
         self, dst: int, kind: Coh, addr: int, data: List[int], tid: int = 0
     ) -> None:
-        msg = acquire(
+        msg = Message(
             self.node,
             dst,
             kind,
@@ -293,13 +290,11 @@ class SnoopingCacheController(BaseCacheController):
             # against the still-present CET entry).
             self._complete_killed(txn, list(msg.data))
             self.hooks.epoch_data(self.node, block, list(msg.data))
-            release(msg)
             return
         self.hooks.epoch_data(self.node, block, list(msg.data))
         state = CoherenceState.M if txn.want_m else CoherenceState.S
         self._install_block(block, state, list(msg.data))
         self._complete(txn)
-        release(msg)
 
     # -- completion -----------------------------------------------------------
     def _complete(self, txn: _SnoopTransaction) -> None:
@@ -421,7 +416,7 @@ class SnoopingMemoryController:
 
     def _supply(self, requestor: int, block: int, tid: int = 0) -> None:
         data = self.memory.read_block(block)
-        msg = acquire(
+        msg = Message(
             self.node,
             requestor,
             Coh.DATA,
@@ -449,7 +444,5 @@ class SnoopingMemoryController:
                 self.node, block, self.memory.read_block(block), msg.data
             )
             self.memory.write_block(block, msg.data)
-            release(msg)
         else:
             self.stats.incr(f"{self._stat}.stale_wb_data")
-            release(msg)

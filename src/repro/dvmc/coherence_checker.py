@@ -15,17 +15,11 @@ happen in appropriate epochs (checked at the CET), (2) Read-Write
 epochs never overlap other epochs, (3) the data at an epoch's begin
 equals the data at the most recent Read-Write epoch's end.
 
-The MET is **sharded by (home, block bank)**: each home keeps
-:data:`MET_BANKS` independent bank heaps and bank-local block tables,
-selected by the low block-number bits.  Informs for different blocks
-commute (all MET state is per block), and same-block informs always
-land in the same bank, so sharding preserves processing semantics
-while keeping each heap small; the bounded-capacity forced drain pops
-the global minimum across bank heads, which equals the unsharded
-queue's minimum.  Queued informs are flat integer tuples (no per-
-inform dict allocation), and the rule-2 overlap check queries a
-begin-sorted :class:`~repro.dvmc.interval_index.IntervalIndex` per
-block instead of scanning epoch history.
+Each home keeps one begin-sorted heap of queued informs and one
+block table.  Queued informs are flat integer tuples (no per-inform
+dict allocation), and the rule-2 overlap check queries a begin-sorted
+:class:`~repro.dvmc.interval_index.IntervalIndex` per block instead of
+scanning epoch history.
 
 Timestamps are stored 16-bit; long-lived epochs are *scrubbed* before
 wraparound using a per-CET FIFO that triggers Inform-Open-Epoch /
@@ -43,10 +37,10 @@ from repro.common.crc import hash_block
 from repro.common.events import Scheduler
 from repro.common.logical_time import LogicalTimeBase
 from repro.common.stats import StatsRegistry
-from repro.common.types import BLOCK_SIZE, EpochType, ViolationReport, block_of
+from repro.common.types import EpochType, ViolationReport, block_of
 from repro.config import SystemConfig
 from repro.dvmc.interval_index import IntervalIndex
-from repro.interconnect.message import Message, acquire, release
+from repro.interconnect.message import Message
 from repro.obs.spans import K_EPOCH, K_MET
 
 from repro.coherence.messages import Dvcc
@@ -57,13 +51,6 @@ MET_SORT_SLACK = 128
 
 #: Cycles between MET priority-queue drain sweeps and CET scrub sweeps.
 SWEEP_PERIOD = 500
-
-#: MET shards per home node.  Bank = low bits of the block number, so
-#: consecutive blocks interleave across banks.
-MET_BANKS = 4
-
-_BANK_SHIFT = BLOCK_SIZE.bit_length() - 1
-_BANK_MASK = MET_BANKS - 1
 
 #: Per-block interval-index bound: beyond this many recorded epochs the
 #: oldest are folded into the entry's scalar watermark (exactly the
@@ -152,7 +139,7 @@ class METEntry:
 
 
 class CoherenceChecker:
-    """System-wide DVCC: one CET per cache, one banked MET per home."""
+    """System-wide DVCC: one CET per cache, one MET per home."""
 
     def __init__(
         self,
@@ -175,17 +162,11 @@ class CoherenceChecker:
         self.violations = violations
         num = config.num_nodes
         self._cet: List[Dict[int, CETEntry]] = [dict() for _ in range(num)]
-        #: Banked MET: ``_met[home][bank]`` maps block -> METEntry.
-        self._met: List[List[Dict[int, METEntry]]] = [
-            [dict() for _ in range(MET_BANKS)] for _ in range(num)
-        ]
-        #: Banked inform queues: one begin-sorted heap of flat tuple
-        #: records per (home, bank); ``_pq_len[home]`` tracks the total
-        #: so the bounded-capacity forced drain stays per home.
-        self._pq: List[List[list]] = [
-            [[] for _ in range(MET_BANKS)] for _ in range(num)
-        ]
-        self._pq_len: List[int] = [0] * num
+        #: MET: ``_met[home]`` maps block -> METEntry.
+        self._met: List[Dict[int, METEntry]] = [dict() for _ in range(num)]
+        #: Inform queues: one begin-sorted heap of flat tuple records
+        #: per home.
+        self._pq: List[list] = [[] for _ in range(num)]
         self._pq_seq = itertools.count()
         #: Scrub FIFOs: (block, begin_full) per epoch, per node.
         self._scrub_fifo: List[List[Tuple[int, int]]] = [[] for _ in range(num)]
@@ -198,35 +179,24 @@ class CoherenceChecker:
         #: mutated (or fault-corrupted) block always misses the memo —
         #: the memo can never mask real corruption.
         self._hash_memo: Dict[int, Tuple[List[int], int]] = {}
-        # Precomputed per-node stat keys (these fire once per epoch
-        # event / inform; f-string assembly was measurable).
-        self._stat_epochs_begun = [f"dvcc.{n}.epochs_begun" for n in range(num)]
-        self._stat_informs_sent = [f"dvcc.{n}.informs_sent" for n in range(num)]
-        self._stat_informs_processed = [
-            f"dvcc.{n}.informs_processed" for n in range(num)
-        ]
         self._stat_open_informs = [f"dvcc.{n}.open_informs" for n in range(num)]
-        self._stat_pq_forced = [
-            f"dvcc.{n}.pq_forced_drains" for n in range(num)
-        ]
-        self._stat_violations = [f"dvcc.{n}.violations" for n in range(num)]
-        # Int-slot handles for the per-inform/per-epoch increments; the
-        # string lists above stay as the obs_snapshot read keys (the
-        # registry merges both planes).
-        self._h_epochs_begun = [stats.handle(k) for k in self._stat_epochs_begun]
-        self._h_informs_sent = [stats.handle(k) for k in self._stat_informs_sent]
-        self._h_informs_processed = [
-            stats.handle(k) for k in self._stat_informs_processed
-        ]
-        self._h_pq_forced = [stats.handle(k) for k in self._stat_pq_forced]
-        self._h_violations = [stats.handle(k) for k in self._stat_violations]
+
+        # Int-slot handles for the per-inform/per-epoch increments
+        # (these fire once per epoch event / inform).
+        def handles(name: str) -> List[int]:
+            return [stats.handle(f"dvcc.{n}.{name}") for n in range(num)]
+
+        self._h_epochs_begun = handles("epochs_begun")
+        self._h_informs_sent = handles("informs_sent")
+        self._h_informs_processed = handles("informs_processed")
+        self._h_pq_forced = handles("pq_forced_drains")
+        self._h_violations = handles("violations")
         self._values = stats.values
-        # Observability (repro.obs): per-bank probe and overlap-check
+        # Observability (repro.obs): MET probe and overlap-check
         # counters, maintained only when attached.  Informs are orders
         # of magnitude rarer than scheduler events, so a guarded int
         # add per inform is well inside the obs overhead budget.
         self._obs_on = False
-        self._obs_bank_pushes = [0] * MET_BANKS
         self._obs_met_probes = 0
         self._obs_overlap_checks = 0
         #: Flight recorder (None unless span_sample > 0; see obs.spans).
@@ -243,49 +213,33 @@ class CoherenceChecker:
         self._span_met_tracks = [spans.track(f"met.{n}") for n in range(num)]
 
     def attach_obs(self) -> None:
-        """Start recording MET bank probes and overlap-check counts."""
+        """Start recording MET probes and overlap-check counts."""
         self._obs_on = True
 
     def obs_snapshot(self) -> dict:
         """Observable interface: CET/MET occupancy + checking effort."""
-        stats = self.stats
-        num = self.config.num_nodes
-        pq_depth = sum(self._pq_len)
+        values = self._values
+
+        def total(handles: List[int]) -> int:
+            return sum(values[h] for h in handles)
+
         return {
             "cet_entries": sum(len(cet) for cet in self._cet),
             "cet_open": sum(
                 sum(1 for e in cet.values() if not e.ended)
                 for cet in self._cet
             ),
-            "met_entries": sum(
-                len(bank) for banks in self._met for bank in banks
-            ),
-            "met_bank_entries": [
-                sum(len(banks[b]) for banks in self._met)
-                for b in range(MET_BANKS)
-            ],
-            "met_bank_pushes": list(self._obs_bank_pushes),
+            "met_entries": sum(len(met) for met in self._met),
             "met_probes": self._obs_met_probes,
             "epoch_overlap_checks": self._obs_overlap_checks,
-            "pq_depth": pq_depth,
+            "pq_depth": sum(len(pq) for pq in self._pq),
             "pq_capacity": self.config.dvmc.priority_queue_entries,
-            "pq_forced_drains": sum(
-                stats.counter(self._stat_pq_forced[n]) for n in range(num)
-            ),
-            "informs_sent": sum(
-                stats.counter(self._stat_informs_sent[n]) for n in range(num)
-            ),
-            "informs_processed": sum(
-                stats.counter(self._stat_informs_processed[n])
-                for n in range(num)
-            ),
-            "epochs_begun": sum(
-                stats.counter(self._stat_epochs_begun[n]) for n in range(num)
-            ),
+            "pq_forced_drains": total(self._h_pq_forced),
+            "informs_sent": total(self._h_informs_sent),
+            "informs_processed": total(self._h_informs_processed),
+            "epochs_begun": total(self._h_epochs_begun),
             "hash_memo_entries": len(self._hash_memo),
-            "violations": sum(
-                stats.counter(self._stat_violations[n]) for n in range(num)
-            ),
+            "violations": total(self._h_violations),
         }
 
     def _hash_block(self, block: int, data) -> int:
@@ -494,13 +448,13 @@ class CoherenceChecker:
         begin_hash: int = -1,
         end_hash: int = -1,
     ) -> None:
-        """Build an inform on pooled int slots (no meta dict).
+        """Build an inform on the message's int slots.
 
         ``-1`` marks an absent time/hash, matching the flat MET record
         encoding.
         """
         self._values[self._h_informs_sent[src]] += 1
-        msg = acquire(
+        msg = Message(
             src,
             dst,
             kind,
@@ -515,33 +469,15 @@ class CoherenceChecker:
         self.send(msg)
 
     def handle_message(self, msg: Message) -> None:
-        """One inform arriving at a home memory controller's MET."""
-        self._drain(self._push_inform(msg))
+        """One inform arriving at a home memory controller's MET.
 
-    def handle_batch(self, batch) -> None:
-        """Batch entry point: informs arriving at a home MET together.
-
-        The interconnect delivers all same-(node, cycle) informs as one
-        batch: every inform is pushed onto its begin-time-sorted bank
-        heap first and each touched home is drained once, amortising
-        the drain sweep across the batch.  All inform kinds ride the
-        same queues; an Inform-Closed-Epoch sorts by its end time,
-        which keeps it behind its paired Inform-Open-Epoch (end >=
-        begin).
-        """
-        homes = set()
-        for msg in batch:
-            homes.add(self._push_inform(msg))
-        for home in homes:
-            self._drain(home)
-
-    def _push_inform(self, msg: Message) -> int:
-        """Queue one inform as a flat tuple record on its bank heap.
-
-        Returns the home node; the caller is responsible for the drain
-        sweep (once per message, or once per batch).  Record layout:
+        The inform is queued as a flat tuple record on the home's
+        begin-sorted heap, then the home drains.  Record layout:
         ``(sort_key, seq, kind, src, block, etype, begin, end,
-        begin_hash, end_hash)`` with -1 for absent hashes/times.
+        begin_hash, end_hash)`` with -1 for absent hashes/times.  All
+        inform kinds ride the same queue; an Inform-Closed-Epoch sorts
+        by its end time, which keeps it behind its paired
+        Inform-Open-Epoch (end >= begin).
         """
         home = msg.dst
         kind = msg.kind
@@ -595,20 +531,14 @@ class CoherenceChecker:
                 -1,
                 -1,
             )
-        # The record carries everything the MET needs; the checker is
-        # the inform's sole consumer, so the wire record recycles here.
-        release(msg)
-        bank = (block >> _BANK_SHIFT) & _BANK_MASK
-        if self._obs_on:
-            self._obs_bank_pushes[bank] += 1
-        heapq.heappush(self._pq[home][bank], record)
-        self._pq_len[home] += 1
-        if self._pq_len[home] > self.config.dvmc.priority_queue_entries:
+        pq = self._pq[home]
+        heapq.heappush(pq, record)
+        if len(pq) > self.config.dvmc.priority_queue_entries:
             # Hardware's bounded queue: evict (process) the oldest
             # entry immediately rather than grow without bound.
             self._values[self._h_pq_forced[home]] += 1
             self._drain(home, force_one=True)
-        return home
+        self._drain(home)
 
     # ------------------------------------------------------------------
     # MET side
@@ -616,7 +546,7 @@ class CoherenceChecker:
     def home_request(self, home: int, addr: int) -> None:
         """Create the MET entry at first request (paper 4.3)."""
         block = block_of(addr)
-        met = self._met[home][(block >> _BANK_SHIFT) & _BANK_MASK]
+        met = self._met[home]
         if block not in met:
             data = self.memories[home].read_block(block)
             met[block] = METEntry(
@@ -633,7 +563,7 @@ class CoherenceChecker:
         else means the block was corrupted while memory-resident.
         """
         block = block_of(addr)
-        entry = self._met[home][(block >> _BANK_SHIFT) & _BANK_MASK].get(block)
+        entry = self._met[home].get(block)
         if entry is None:
             # First touch is the writeback itself; the lazy MET entry
             # created later will hash post-writeback memory.
@@ -652,27 +582,26 @@ class CoherenceChecker:
     def verify_memory(self) -> None:
         """Scrubber pass: DRAM contents of every MET-tracked block must
         hash to the value recorded when they were last stored."""
-        for home, banks in enumerate(self._met):
-            for met in banks:
-                for block, entry in met.items():
-                    if entry.mem_hash is None:
-                        continue
-                    got = self._hash_block(
-                        block, self.memories[home].read_block(block)
+        for home, met in enumerate(self._met):
+            for block, entry in met.items():
+                if entry.mem_hash is None:
+                    continue
+                got = self._hash_block(
+                    block, self.memories[home].read_block(block)
+                )
+                if got != entry.mem_hash:
+                    self._violate(
+                        home,
+                        "data-propagation",
+                        f"block 0x{block:x}: scrub reads hash "
+                        f"{got:#06x}, last stored {entry.mem_hash:#06x}",
+                        addr=block,
                     )
-                    if got != entry.mem_hash:
-                        self._violate(
-                            home,
-                            "data-propagation",
-                            f"block 0x{block:x}: scrub reads hash "
-                            f"{got:#06x}, last stored {entry.mem_hash:#06x}",
-                            addr=block,
-                        )
 
     def _met_entry(self, home: int, block: int) -> METEntry:
         if self._obs_on:
             self._obs_met_probes += 1
-        met = self._met[home][(block >> _BANK_SHIFT) & _BANK_MASK]
+        met = self._met[home]
         entry = met.get(block)
         if entry is None:
             # Shouldn't happen fault-free (home_request precedes epochs),
@@ -683,50 +612,21 @@ class CoherenceChecker:
         return entry
 
     def _drain(self, home: int, force_one: bool = False) -> None:
-        """Process eligible informs in global begin order across banks.
-
-        Each bank heap's head is its minimum, so the minimum over heads
-        is the home's global minimum — identical pop order to a single
-        unsharded queue, at a 4-way compare per pop instead of a wide
-        heap sift.
-        """
-        banks = self._pq[home]
+        """Process queued informs in begin order once they are
+        :data:`MET_SORT_SLACK` old; ``force_one`` takes the oldest
+        regardless of age (the bounded queue's eviction)."""
+        pq = self._pq[home]
         now = self.lt.now(home)
         process = self._process_inform
-        while True:
-            best = None
-            best_bank = 0
-            for i in range(MET_BANKS):
-                pq = banks[i]
-                if pq:
-                    head = pq[0]
-                    if best is None or head < best:
-                        best = head
-                        best_bank = i
-            if best is None:
-                return
-            if not force_one and now - best[0] < MET_SORT_SLACK:
-                return
-            heapq.heappop(banks[best_bank])
-            self._pq_len[home] -= 1
-            process(home, best)
+        while pq and (force_one or now - pq[0][0] >= MET_SORT_SLACK):
+            process(home, heapq.heappop(pq))
             force_one = False
 
     def flush(self) -> None:
         """Process every queued inform (end of simulation)."""
-        for home in range(self.config.num_nodes):
-            banks = self._pq[home]
-            while self._pq_len[home]:
-                best = None
-                best_bank = 0
-                for i in range(MET_BANKS):
-                    pq = banks[i]
-                    if pq and (best is None or pq[0] < best):
-                        best = pq[0]
-                        best_bank = i
-                heapq.heappop(banks[best_bank])
-                self._pq_len[home] -= 1
-                self._process_inform(home, best)
+        for home, pq in enumerate(self._pq):
+            while pq:
+                self._process_inform(home, heapq.heappop(pq))
 
     def _process_inform(self, home: int, record: tuple) -> None:
         self._values[self._h_informs_processed[home]] += 1

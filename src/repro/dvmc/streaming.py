@@ -1,9 +1,9 @@
-"""Streaming verification plane: batch DVMC checking off the hot loop.
+"""Streaming verification plane: the Allowable Reordering checker's log.
 
-The simulator's hot loop used to pay the full checker cost on every
-committed/performed operation.  This module provides the log substrate
-that moves the *pure observer* part of that work off the per-event
-path:
+The Allowable Reordering checker is a pure function from the (op type,
+seq, mask, cycle) stream to violation reports and max-counter updates:
+it feeds nothing back into the simulation, so its work can leave the
+per-event path.  This module provides the log substrate for that:
 
 * Cores append ints-only records into an ``array``-backed
   :class:`OpLog` (no per-operation object allocation, no dict churn)
@@ -12,19 +12,6 @@ path:
 * The owning checker drains a whole log segment in one call at its
   natural observation points (membar-injection heartbeats, log-full,
   ``DVMC.finalize``), with attribute lookups hoisted out of the loop.
-
-Only verification that feeds *nothing* back into the simulation may be
-deferred this way.  The Allowable Reordering checker qualifies: it is a
-pure function from the (op type, seq, mask, cycle) stream to violation
-reports and max-counter updates.  The Uniprocessor Ordering checker
-does **not** qualify — VC backpressure stalls the verify stage and
-replays read the live L1 — so it stays synchronous and instead gains a
-batch entry point (:meth:`~repro.dvmc.uniprocessor.
-UniprocessorOrderingChecker.commit_stores`) that drains a run of the
-verify queue in one call.  The Coherence checker's inform stream is
-already deferred architecturally (the MET's begin-sorted priority
-queue); its batch path lives in
-:meth:`~repro.dvmc.coherence_checker.CoherenceChecker.handle_batch`.
 
 Because every record carries the cycle at which the event was
 *observed*, a drained checker reports the same violations with the

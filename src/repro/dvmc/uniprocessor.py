@@ -147,47 +147,6 @@ class UniprocessorOrderingChecker:
                 )
         return True
 
-    def commit_stores(self, records) -> int:
-        """Batch entry point: replay a run of committed stores at once.
-
-        ``records`` is a sequence of ``(seq, addr, value)`` tuples in
-        program order (a store run from the core's verify queue).  The
-        whole segment is drained in one call with the VC dict and the
-        clock hoisted out of the loop; semantics are exactly ``N``
-        consecutive :meth:`commit_store` calls.  Returns the number of
-        stores accepted before VC backpressure stopped the run.
-        """
-        vc = self._vc
-        now = self.scheduler.now
-        capacity = self._capacity
-        s = self.spans
-        done = 0
-        for seq, addr, value in records:
-            word = addr & ~0x3  # word_of, inlined
-            entry = vc.get(word)
-            if entry is None:
-                if len(vc) >= capacity and not self._evict_clean():
-                    break
-                entry = VCEntry(value, 0, now)
-                vc[word] = entry
-            if entry.count == 0:
-                entry.oldest_commit_cycle = now
-            entry.value = value
-            entry.count += 1
-            entry.last_used = now
-            entry.load_seq = None
-            entry.store_seq = seq
-            done += 1
-            if s is not None:
-                tid = s.tid_for(self.node, seq)
-                if tid:
-                    s.instant(
-                        tid, self._span_track, K_UO, now, addr, seq, self.node
-                    )
-        if done:
-            self._values[self._h_store_allocs] += done
-        return done
-
     def store_performed(self, seq: int, addr: int, value_written: int) -> None:
         """A store reached the cache; free its VC entry and check it."""
         word = word_of(addr)

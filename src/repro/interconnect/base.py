@@ -16,7 +16,6 @@ from repro.common.errors import ConfigError, SimulationError
 from repro.common.events import Scheduler
 from repro.common.stats import StatsRegistry
 
-from . import message as message_pool
 from .message import Message
 
 
@@ -42,7 +41,6 @@ class Network(ABC):
         self.scheduler = scheduler
         self.stats = stats
         self._handlers: Dict[int, Callable[[Message], None]] = {}
-        self._batch_handlers: Dict[int, Callable[[List[Message]], None]] = {}
         #: In-flight coalesced deliveries, keyed ``cycle << 16 | dst``
         #: (one int hash instead of a tuple allocation per delivery) ->
         #: the message list captured by the already-scheduled callback.
@@ -74,23 +72,6 @@ class Network(ABC):
             raise ConfigError(f"node {node} already registered on {self.name}")
         self._handlers[node] = handler
 
-    def register_batch(
-        self, node: int, handler: Callable[[List[Message]], None]
-    ) -> None:
-        """Attach a batch handler for ``node``.
-
-        When present it receives all messages of a *coalesced* delivery
-        (two or more landing on ``node`` in the same cycle) as a single
-        list, letting the receiver amortise per-arrival work.  Lone
-        arrivals keep going to the plain handler — the common case pays
-        no wrapper cost.
-        """
-        if node in self._batch_handlers:
-            raise ConfigError(
-                f"node {node} already has a batch handler on {self.name}"
-            )
-        self._batch_handlers[node] = handler
-
     def set_fault_hook(self, hook: Optional[FaultHook]) -> None:
         """Install (or clear) the fault-injection hook."""
         self._fault_hook = hook
@@ -100,25 +81,16 @@ class Network(ABC):
         return len(self._handlers)
 
     def _apply_fault_hook(self, message: Message) -> "list[Message]":
-        """Run the hook; return the list of messages to actually route.
-
-        Every message a hook saw is pinned (``no_recycle``): the
-        injector (or a test asserting on the fault) may hold a
-        reference past delivery, so the record must never be recycled
-        under it.
-        """
+        """Run the hook; return the list of messages to actually route."""
         if self._fault_hook is None:
             return [message]
-        message.no_recycle = True
         action, misroute_to = self._fault_hook(message)
         if action is FaultAction.DROP:
             self.stats.incr(f"net.{self.name}.faults.dropped")
             return []
         if action is FaultAction.DUPLICATE:
             self.stats.incr(f"net.{self.name}.faults.duplicated")
-            dup = message.copy_for_duplicate()
-            dup.no_recycle = True
-            return [message, dup]
+            return [message, message.copy_for_duplicate()]
         if action is FaultAction.MISROUTE:
             self.stats.incr(f"net.{self.name}.faults.misrouted")
             if misroute_to is None:
@@ -126,15 +98,6 @@ class Network(ABC):
             message.dst = misroute_to
             return [message]
         return [message]
-
-    def _deliver(self, message: Message) -> None:
-        """Deliver one message immediately (synchronous path)."""
-        handler = self._handlers.get(message.dst)
-        if handler is None:
-            raise SimulationError(
-                f"{self.name}: no handler for node {message.dst}"
-            )
-        handler(message)
 
     def deliver_at(self, time: int, message: Message) -> None:
         """Schedule delivery at ``time``, coalescing same-cycle arrivals.
@@ -157,14 +120,7 @@ class Network(ABC):
 
     def _deliver_batch(self, key: int, batch: List[Message]) -> None:
         del self._pending_batches[key]
-        if len(batch) == 1:
-            self._deliver(batch[0])
-            return
         node = key & 0xFFFF
-        batch_handler = self._batch_handlers.get(node)
-        if batch_handler is not None:
-            batch_handler(batch)
-            return
         handler = self._handlers.get(node)
         if handler is None:
             raise SimulationError(f"{self.name}: no handler for node {node}")
@@ -195,7 +151,6 @@ class Network(ABC):
         links = self.stats.counters_with_prefix(link_prefix)
         sent = self.messages_sent
         coalesced = self.deliveries_coalesced
-        pool = message_pool.pool_stats()
         return {
             "messages_sent": sent,
             "deliveries_coalesced": coalesced,
@@ -204,9 +159,4 @@ class Network(ABC):
             "links": len(links),
             "total_bytes": sum(links.values()),
             "max_link_bytes": max(links.values(), default=0),
-            # Message-record freelist (process-wide, shared by every
-            # network; repeated per layer for dashboard convenience).
-            "msg_pool_depth": pool["depth"],
-            "msg_pool_allocated": pool["allocated"],
-            "msg_pool_reused": pool["reused"],
         }

@@ -773,50 +773,8 @@ class Core:
     def _pump_verify(self) -> None:
         q = self._verify_q
         while q:
-            rec = q[0]
-            if (
-                rec.op_type is OpType.STORE
-                and len(q) > 1
-                and q[1].op_type is OpType.STORE
-            ):
-                if not self._verify_store_run():
-                    return
-                continue
-            if not self._verify_one(rec):
+            if not self._verify_one(q[0]):
                 return
-
-    def _verify_store_run(self) -> bool:
-        """Drain the head run of stores through the UO checker's batch
-        entry point (one call per run instead of one per store).  The
-        per-store semantics — VC allocation order, backpressure stall,
-        write-buffer release, pump kick — are unchanged; ``_kick`` is
-        idempotent per pending pump, so one kick after the run schedules
-        the same event a kick per store would have."""
-        q = self._verify_q
-        run = []
-        for r in q:
-            if r.op_type is not OpType.STORE:
-                break
-            run.append((r.seq, r.addr, r.value))
-        done = self.uo.commit_stores(run)
-        wb = self.wb
-        for _ in range(done):
-            r = q.popleft()
-            r.verified = True
-            if wb is None:
-                self._sc_issue_store(r)
-            else:
-                wb.mark_verified(r.seq)
-        if done:
-            self._vc_stall_flag = False
-            self._kick()
-        if done < len(run):
-            if not self._vc_stall_flag:
-                self._vc_stall_flag = True
-                self._incr(f"{self._stat}.vc_full_stalls")
-            self._schedule_verify_retry()
-            return False
-        return True
 
     def _verify_one(self, rec: OpRec) -> bool:
         kind = rec.op_type

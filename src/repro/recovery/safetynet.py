@@ -27,7 +27,7 @@ from repro.common.errors import RecoveryError
 from repro.common.events import Scheduler
 from repro.common.stats import StatsRegistry
 from repro.config import SystemConfig
-from repro.interconnect.message import acquire
+from repro.interconnect.message import Message
 from repro.obs.spans import K_CKPT
 
 from repro.coherence.messages import Sn
@@ -112,7 +112,7 @@ class SafetyNet:
         if self._send is not None:
             for node in range(1, self.num_nodes):
                 self._send(
-                    acquire(
+                    Message(
                         node,
                         0,
                         Sn.CKPT_VALIDATE,

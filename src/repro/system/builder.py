@@ -39,7 +39,7 @@ from repro.dvmc.framework import DVMC
 from repro.dvmc.reordering import AllowableReorderingChecker
 from repro.dvmc.uniprocessor import UniprocessorOrderingChecker
 from repro.interconnect.broadcast import BroadcastTreeNetwork
-from repro.interconnect.message import Message, release as release_message
+from repro.interconnect.message import Message
 from repro.interconnect.torus import TorusNetwork
 from repro.memory.cache import CacheArray
 from repro.memory.memory import MainMemory
@@ -440,6 +440,10 @@ def build_system(
     return system
 
 
+def _discard(msg: Message) -> None:
+    """Sink for messages modelled only for their network traffic."""
+
+
 def _wire_routers(system: System) -> None:
     """Register per-node dispatchers on the network(s)."""
     config = system.config
@@ -452,17 +456,14 @@ def _wire_routers(system: System) -> None:
 
         # Precomputed kind -> bound-handler table: one identity-hash
         # dict hit per delivery replaces the old class-check plus
-        # membership chain.  The Sn sink (and the Dvcc sink when no
-        # checker is attached) recycles the record straight back to the
-        # freelist — it is the message's sole consumer.
+        # membership chain.  Sn messages (and Dvcc ones when no checker
+        # is attached) are carried for their traffic and then dropped.
         dispatch = {}
-        dvcc_sink = (
-            checker.handle_message if checker is not None else release_message
-        )
+        dvcc_sink = checker.handle_message if checker is not None else _discard
         for kind in Dvcc:
             dispatch[kind] = dvcc_sink
         for kind in Sn:
-            dispatch[kind] = release_message  # checkpoint coordination sink
+            dispatch[kind] = _discard  # checkpoint coordination sink
         if directory:
             home_kinds = (Coh.GETS, Coh.GETM, Coh.PUTM, Coh.UNBLOCK)
             for kind in Coh:
@@ -482,23 +483,7 @@ def _wire_routers(system: System) -> None:
         def torus_handler(msg: Message, dispatch=dispatch):
             dispatch[msg.kind](msg)
 
-        def torus_batch_handler(batch, dispatch=dispatch, checker=checker):
-            # Coalesced same-cycle arrivals: coherence traffic is
-            # dispatched per message in arrival order, while DVCC
-            # informs are grouped into one MET push+drain pass.
-            informs = None
-            for msg in batch:
-                if msg.kind.__class__ is Dvcc and checker is not None:
-                    if informs is None:
-                        informs = []
-                    informs.append(msg)
-                    continue
-                dispatch[msg.kind](msg)
-            if informs is not None:
-                checker.handle_batch(informs)
-
         system.data_network.register(n, torus_handler)
-        system.data_network.register_batch(n, torus_batch_handler)
 
         if not directory:
 

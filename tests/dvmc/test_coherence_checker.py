@@ -1,13 +1,15 @@
 """Cache Coherence checker: CET/MET, epoch rules, scrubbing (4.3)."""
 
 
+from repro.coherence.messages import Dvcc
 from repro.common.crc import hash_block
 from repro.common.events import Scheduler
 from repro.common.stats import StatsRegistry
 from repro.common.types import WORDS_PER_BLOCK, EpochType
 from repro.config import DVMCConfig, SystemConfig
-from repro.dvmc.coherence_checker import CoherenceChecker
+from repro.dvmc.coherence_checker import MET_SORT_SLACK, CoherenceChecker
 from repro.dvmc.framework import ViolationLog
+from repro.interconnect.message import Message
 from repro.memory.memory import MainMemory
 
 
@@ -24,20 +26,16 @@ class ManualClock:
         self.times = [value] * len(self.times)
 
 
-def make_checker(num_nodes=2, timestamp_bits=16):
+def make_checker(num_nodes=2, **dvmc):
     sched = Scheduler()
     stats = StatsRegistry()
     log = ViolationLog()
     clock = ManualClock(num_nodes)
-    config = SystemConfig(
-        num_nodes=num_nodes,
-        dvmc=DVMCConfig(timestamp_bits=timestamp_bits),
-    )
+    config = SystemConfig(num_nodes=num_nodes, dvmc=DVMCConfig(**dvmc))
     memories = [MainMemory(stats) for _ in range(num_nodes)]
     sent = []
 
     def send(msg):
-        msg.no_recycle = True  # the test list keeps the record alive
         sent.append(msg)
         # Loop informs straight back into the MET (zero-latency net).
         checker.handle_message(msg)
@@ -218,6 +216,35 @@ class TestPriorityQueue:
         clock.set_all(6)
         checker.epoch_end(0, BLOCK, data(5))
         checker.flush()
+        assert not log.reports
+
+    def test_full_queue_forces_oldest_out(self):
+        """A push past ``priority_queue_entries`` processes the oldest
+        queued inform at once, even inside the sort slack."""
+        checker, log, clock, _, _ = make_checker(priority_queue_entries=2)
+        blocks = ((0x1000, 30), (0x1040, 10), (0x1080, 20))
+        for block, _ in blocks:
+            checker.home_request(0, block)
+        processed = []
+        process = checker._process_inform
+
+        def spy(home, record):
+            processed.append(record[6])  # the record's begin time
+            process(home, record)
+
+        checker._process_inform = spy
+        clock.set_all(40)
+        assert 40 - min(begin for _, begin in blocks) < MET_SORT_SLACK
+        for i, (block, begin) in enumerate(blocks):
+            inform = Message(1, 0, Dvcc.INFORM_EPOCH, addr=block)
+            inform.etype = 0
+            inform.t_begin = begin
+            inform.t_end = begin + 5
+            checker.handle_message(inform)
+            assert processed == ([] if i < 2 else [10])
+        assert checker.stats.counter("dvcc.0.pq_forced_drains") == 1
+        checker.flush()
+        assert processed == [10, 20, 30]
         assert not log.reports
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ConfigError
+from repro.common.errors import SimulationError
 from repro.common.events import Scheduler
 from repro.common.stats import StatsRegistry
 from repro.config import NetworkConfig
@@ -76,27 +76,35 @@ class TestDeliverAt:
         sched.run()
         assert seen == [(3, 0xA), (7, 0xB)]
 
-
-class TestBatchHandlers:
-    def test_batch_handler_gets_multi_message_batches(self):
+    def test_same_cycle_send_from_a_handler_starts_a_new_batch(self):
+        """A handler sending to its own node for the current cycle must
+        not append to the batch being delivered: the message rides a
+        fresh batch, delivered after the current one in the same cycle."""
         sched, _, net = make_net()
-        singles, batches = [], []
-        net.register(1, singles.append)
-        net.register_batch(1, lambda batch: batches.append(list(batch)))
+        seen = []
+
+        def handler(m):
+            seen.append((sched.now, m.addr))
+            if m.addr == 0x1:
+                net.deliver_at(sched.now, msg(1, 0x3))
+
+        net.register(1, handler)
         net.deliver_at(4, msg(1, 0x1))
         net.deliver_at(4, msg(1, 0x2))
         sched.run()
-        assert singles == []
-        assert len(batches) == 1 and [m.addr for m in batches[0]] == [1, 2]
+        assert seen == [(4, 0x1), (4, 0x2), (4, 0x3)]
+        assert net.deliveries_coalesced == 1
 
-    def test_lone_arrival_bypasses_batch_handler(self):
+    def test_unregistered_node_raises(self):
         sched, _, net = make_net()
-        singles, batches = [], []
-        net.register(1, singles.append)
-        net.register_batch(1, batches.append)
-        net.deliver_at(4, msg(1))
-        sched.run()
-        assert len(singles) == 1 and batches == []
+        net.register(1, lambda m: None)
+        net.deliver_at(2, msg(9))
+        with pytest.raises(SimulationError, match="no handler for node 9"):
+            sched.run()
+
+
+class TestBatchHandlers:
+    """A coalesced batch reaches the node's one handler, per message."""
 
     def test_batch_falls_back_to_plain_handler(self):
         sched, _, net = make_net()
@@ -106,12 +114,6 @@ class TestBatchHandlers:
         net.deliver_at(4, msg(1, 0x2))
         sched.run()
         assert [m.addr for m in got] == [1, 2]
-
-    def test_duplicate_batch_registration_rejected(self):
-        _, _, net = make_net()
-        net.register_batch(1, lambda batch: None)
-        with pytest.raises(ConfigError):
-            net.register_batch(1, lambda batch: None)
 
 
 class TestTorusBatching:

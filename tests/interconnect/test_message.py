@@ -1,7 +1,6 @@
-"""Message records: packed int slots and the recycling freelist."""
+"""Message records: packed int slots."""
 
-from repro.interconnect import message as message_pool
-from repro.interconnect.message import Message, acquire, release
+from repro.interconnect.message import Message
 
 
 class TestMessage:
@@ -11,20 +10,16 @@ class TestMessage:
         assert a.uid != b.uid
 
     def test_duplicate_copies_payload(self):
-        original = Message(src=0, dst=1, kind="x", data=[1, 2], meta={"k": 3})
+        original = Message(src=0, dst=1, kind="x", data=[1, 2])
         dup = original.copy_for_duplicate()
         assert dup.uid != original.uid
         assert dup.data == original.data
         dup.data[0] = 99
         assert original.data[0] == 1  # deep enough copy
-        dup.meta["k"] = 4
-        assert original.meta["k"] == 3
 
     def test_duplicate_copies_int_slots(self):
-        original = Message(src=0, dst=1, kind="x")
-        original.req = 3
-        original.acks = 2
-        original.flags = 3
+        original = Message(src=0, dst=1, kind="x", req=3, acks=2, flags=3)
+        assert (original.req, original.acks, original.flags) == (3, 2, 3)
         original.etype = 1
         original.t_begin = 10
         original.t_end = 20
@@ -57,62 +52,3 @@ class TestMessage:
         assert m.flags == 0
         assert m.etype == m.t_begin == m.t_end == -1
         assert m.h_begin == m.h_end == m.order == -1
-        assert m.meta == {}
-
-
-class TestFreelist:
-    def test_release_then_acquire_reuses_record(self):
-        m = acquire(0, 1, "x", addr=0x40, data=[1, 2], req=5)
-        release(m)
-        again = acquire(2, 3, "y")
-        assert again is m  # recycled, not reallocated
-        # Full slot reset on reuse.
-        assert again.src == 2 and again.dst == 3 and again.kind == "y"
-        assert again.addr == 0 and again.data is None
-        assert again.req == -1 and again.acks == -1 and again.flags == 0
-        assert again.etype == again.t_begin == again.t_end == -1
-        assert again.h_begin == again.h_end == again.order == -1
-        assert again.uid != m.uid or again.uid >= 0  # fresh uid drawn
-
-    def test_release_drops_data_reference(self):
-        payload = [1, 2, 3]
-        m = acquire(0, 1, "x", data=payload)
-        release(m)
-        assert m.data is None
-        assert payload == [1, 2, 3]  # the list itself is untouched
-
-    def test_double_release_is_guarded(self):
-        m = acquire(0, 1, "x")
-        release(m)
-        depth = message_pool.pool_stats()["depth"]
-        release(m)  # must not enqueue the record twice
-        assert message_pool.pool_stats()["depth"] == depth
-
-    def test_no_recycle_pins_record(self):
-        m = acquire(0, 1, "x")
-        m.no_recycle = True
-        depth = message_pool.pool_stats()["depth"]
-        release(m)
-        assert message_pool.pool_stats()["depth"] == depth
-        assert m.data is None or True  # record left intact
-        assert m.kind == "x"
-
-    def test_meta_access_pins_record(self):
-        m = acquire(0, 1, "x")
-        m.meta["k"] = 1  # hands out an aliasable dict
-        assert m.no_recycle
-        depth = message_pool.pool_stats()["depth"]
-        release(m)
-        assert message_pool.pool_stats()["depth"] == depth
-
-    def test_external_meta_pins_record(self):
-        m = Message(src=0, dst=1, kind="x", meta={"k": 1})
-        assert m.no_recycle
-
-    def test_pool_stats_counts_allocs_and_reuse(self):
-        before = message_pool.pool_stats()
-        m = acquire(0, 1, "x")
-        release(m)
-        acquire(0, 1, "y")
-        after = message_pool.pool_stats()
-        assert after["reused"] >= before["reused"] + 1

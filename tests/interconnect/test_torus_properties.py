@@ -49,8 +49,8 @@ def test_per_link_fifo(num_nodes):
     net = TorusNetwork("p", sched, StatsRegistry(), num_nodes, NetworkConfig())
     order = []
     for n in range(num_nodes):
-        net.register(n, lambda m: order.append(m.meta["i"]))
+        net.register(n, lambda m: order.append(m.addr))
     for i in range(6):
-        net.send(Message(src=0, dst=num_nodes - 1, kind="x", meta={"i": i}))
+        net.send(Message(src=0, dst=num_nodes - 1, kind="x", addr=i))
     sched.run()
     assert order == sorted(order)

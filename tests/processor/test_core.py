@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.types import MembarMask
-from repro.config import SystemConfig
+from repro.config import DVMCConfig, SystemConfig
 from repro.consistency.models import ConsistencyModel
 from repro.processor.operations import (
     Atomic,
@@ -229,6 +229,34 @@ class TestMultiCore:
         system, result = run_programs([prog(), idle_program()])
         assert result.completed
         assert system.cores[0].wb.empty
+
+
+class TestVerificationCacheBackpressure:
+    @pytest.mark.parametrize("vc_entries", [1, 2])
+    @pytest.mark.parametrize("model", list(ConsistencyModel))
+    def test_store_runs_stall_on_full_vc(self, model, vc_entries):
+        """Runs of stores longer than the VC stall the verify stage,
+        which resumes as each store performs and frees its entry."""
+        blocks = 24
+        seen = {0: [], 1: []}
+
+        def prog(core):
+            base = ADDR + core * 0x1_0000
+            for i in range(blocks):
+                yield Store(base + 64 * i, core << 8 | i)
+            for i in range(blocks):
+                seen[core].append((yield Load(base + 64 * i)))
+
+        config = SystemConfig.protected(
+            model=model, dvmc=DVMCConfig(verification_cache_entries=vc_entries)
+        ).with_nodes(2)
+        system = build_system(config, programs=[prog(0), prog(1)])
+        result = system.run(max_cycles=2_000_000)
+        assert result.completed
+        for core in (0, 1):
+            assert seen[core] == [core << 8 | i for i in range(blocks)]
+            assert system.stats.counter(f"core.{core}.vc_full_stalls") > 0
+        assert not result.violations
 
 
 class TestStatsCollection:
