@@ -7,6 +7,7 @@ cache geometry, and measures observed structure occupancy in a live
 run.
 """
 
+from repro.common.types import BLOCK_SIZE
 from repro.config import SystemConfig
 from repro.system.builder import build_system
 
@@ -27,7 +28,7 @@ def test_hardware_cost_table(benchmark):
 
     system = benchmark.pedantic(experiment, rounds=1, iterations=1)
 
-    lines_per_cache = config.l1.size_bytes // config.block_size
+    lines_per_cache = config.l1.size_bytes // BLOCK_SIZE
     cet_bytes = lines_per_cache * CET_ENTRY_BITS / 8
     met_bytes = lines_per_cache * config.num_nodes * MET_ENTRY_BITS / 8
     vc_bytes = config.dvmc.verification_cache_entries * VC_ENTRY_BITS / 8

@@ -383,7 +383,7 @@ class BaseCacheController:
             self._evict(victim)
         line = self.l1.install(block, state, data)
         s = self.spans
-        if s is not None and (self._miss_tid or s.trace_infra):
+        if s is not None:
             s.instant(
                 self._miss_tid, self._span_track, K_OWNER,
                 self.scheduler.now, block, _STATE_CODE[state] + 1, self.node,
@@ -408,7 +408,7 @@ class BaseCacheController:
             self.hooks.epoch_end(self.node, block, list(line.data))
         line.state = CoherenceState.M
         s = self.spans
-        if s is not None and (self._miss_tid or s.trace_infra):
+        if s is not None:
             s.instant(
                 self._miss_tid, self._span_track, K_OWNER,
                 self.scheduler.now, block,
@@ -432,7 +432,7 @@ class BaseCacheController:
                 self.hooks.epoch_end(self.node, block, list(line.data))
             line.state = CoherenceState.O
             s = self.spans
-            if s is not None and s.trace_infra:
+            if s is not None:
                 s.instant(
                     0, self._span_track, K_OWNER,
                     self.scheduler.now, block,
@@ -455,7 +455,7 @@ class BaseCacheController:
         self.hooks.invalidation(self.node, block)
         self.l1.remove(block)
         s = self.spans
-        if s is not None and s.trace_infra:
+        if s is not None:
             # Invalidation: the line leaves this cache (state code 0).
             s.instant(
                 0, self._span_track, K_OWNER,

@@ -330,7 +330,7 @@ class DirectoryMemoryController:
         self._post = scheduler.post
         self._cb_supply = self._supply
         self._mem_latency = config.memory.latency
-        #: Flight recorder (None unless span_sample > 0; see obs.spans).
+        #: Flight recorder (None unless built with spans=True; see obs.spans).
         self.spans = None
         self._span_track = 0
 
@@ -468,7 +468,7 @@ class DirectoryMemoryController:
         self._owner[block] = requestor
         self._sharers[block] = 0
         s = self.spans
-        if s is not None and (tid or s.trace_infra):
+        if s is not None:
             # Directory's view: ownership moved to the requestor.
             s.instant(
                 tid, self._span_track, K_OWNER, self.scheduler.now,
@@ -487,7 +487,7 @@ class DirectoryMemoryController:
             del self._owner[block]
             self._send(msg.src, Coh.WB_ACK, block, tid=msg.tid)
             s = self.spans
-            if s is not None and (msg.tid or s.trace_infra):
+            if s is not None:
                 # Ownership returned to memory (owner code 0).
                 s.instant(
                     msg.tid, self._span_track, K_OWNER, self.scheduler.now,

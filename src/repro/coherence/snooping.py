@@ -364,7 +364,7 @@ class SnoopingMemoryController:
         self._values = stats.values
         self._cb_snoop = self._snoop
         self._cb_wb_data = self._wb_data
-        #: Flight recorder (None unless span_sample > 0; see obs.spans).
+        #: Flight recorder (None unless built with spans=True; see obs.spans).
         self.spans = None
         self._span_track = 0
 
@@ -395,7 +395,7 @@ class SnoopingMemoryController:
             if owner != msg.src:
                 self._owner[block] = msg.src
                 s = self.spans
-                if s is not None and (msg.tid or s.trace_infra):
+                if s is not None:
                     # Home's exact-ownership view: block moved to msg.src.
                     s.instant(
                         msg.tid, self._span_track, K_OWNER,
@@ -407,7 +407,7 @@ class SnoopingMemoryController:
                 self._owner[block] = None
                 self._pending_wb[block] = msg.src
                 s = self.spans
-                if s is not None and (msg.tid or s.trace_infra):
+                if s is not None:
                     # Ownership returned to memory (owner code 0).
                     s.instant(
                         msg.tid, self._span_track, K_OWNER,

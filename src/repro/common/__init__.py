@@ -12,12 +12,9 @@ from .errors import (
 )
 from .events import Scheduler
 from .logical_time import (
-    TIMESTAMP_BITS,
-    TIMESTAMP_MASK,
     DirectoryLogicalTime,
     LogicalTimeBase,
     SnoopingLogicalTime,
-    truncate,
 )
 from .rng import SplitRng
 from .stats import StatsRegistry, mean_stddev
@@ -58,8 +55,6 @@ __all__ = [
     "SnoopingLogicalTime",
     "SplitRng",
     "StatsRegistry",
-    "TIMESTAMP_BITS",
-    "TIMESTAMP_MASK",
     "TraceFormatError",
     "ViolationReport",
     "block_of",
@@ -68,7 +63,6 @@ __all__ = [
     "hash_block",
     "is_word_aligned",
     "mean_stddev",
-    "truncate",
     "word_index",
     "word_of",
 ]

@@ -10,9 +10,10 @@ The checker needs a causality-respecting time base (paper Section 4.3,
   every controller; causality holds as long as inter-controller skew is
   below the minimum communication latency.
 
-Timestamps stored in CET/MET entries are truncated to 16 bits; the
-wraparound-scrubbing machinery lives in the coherence checker, which
-uses :func:`wraps_before` to reason about truncated times.
+Timestamps stored in CET/MET entries are ``DVMCConfig.timestamp_bits``
+(paper: 16) wide; the wraparound-scrubbing machinery lives in the
+coherence checker, which scrubs an epoch once it has been open for half
+that range.
 """
 
 from __future__ import annotations
@@ -21,15 +22,6 @@ from abc import ABC, abstractmethod
 
 from .errors import ConfigError
 from .events import Scheduler
-
-#: Number of bits in a stored logical timestamp (paper: 16).
-TIMESTAMP_BITS = 16
-TIMESTAMP_MASK = (1 << TIMESTAMP_BITS) - 1
-
-
-def truncate(time: int) -> int:
-    """Truncate a full logical time to its stored 16-bit form."""
-    return time & TIMESTAMP_MASK
 
 
 class LogicalTimeBase(ABC):
@@ -88,14 +80,3 @@ class DirectoryLogicalTime(LogicalTimeBase):
 
     def now(self, node: int) -> int:
         return (self._scheduler.now + self._skews[node]) // self.period
-
-
-def wraps_before(start_full: int, horizon: int) -> int:
-    """Full logical time at which a 16-bit timestamp starting at
-    ``start_full`` becomes ambiguous.
-
-    A truncated timestamp is unambiguous while fewer than
-    ``2**TIMESTAMP_BITS - horizon`` ticks have elapsed; the scrubbing
-    FIFO schedules a check before that point (paper: Inform-Open-Epoch).
-    """
-    return start_full + (1 << TIMESTAMP_BITS) - horizon

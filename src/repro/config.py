@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigError
+from repro.common.types import BLOCK_SIZE
 from repro.consistency.models import ConsistencyModel
 
 
@@ -37,16 +38,16 @@ class CacheConfig:
     hit_latency: int = 3
     ports: int = 2  # accesses accepted per cycle (shared with replay)
 
-    def validate(self, block_size: int) -> None:
-        if self.size_bytes % (block_size * self.associativity) != 0:
+    def validate(self) -> None:
+        if self.size_bytes % (BLOCK_SIZE * self.associativity) != 0:
             raise ConfigError(
-                "cache size must be a multiple of block_size * associativity"
+                "cache size must be a multiple of BLOCK_SIZE * associativity"
             )
         if self.hit_latency < 1 or self.ports < 1:
             raise ConfigError("cache latency and ports must be >= 1")
 
-    def num_sets(self, block_size: int) -> int:
-        return self.size_bytes // (block_size * self.associativity)
+    def num_sets(self) -> int:
+        return self.size_bytes // (BLOCK_SIZE * self.associativity)
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,9 @@ class ProcessorConfig:
     """Core parameters (paper Table 7, scaled widths kept)."""
 
     fetch_width: int = 4
-    commit_width: int = 4
     rob_size: int = 64
     lsq_size: int = 32
     write_buffer_size: int = 8  # paper: 8-entry write buffer
-    execute_latency: int = 1  # non-memory op latency
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,6 @@ class DVMCConfig:
     verification_stage_latency: int = 1
     verification_width: int = 4  # ops replayed per cycle
     verification_cache_entries: int = 64  # VC: small (32-256 B in paper)
-    load_value_queue_entries: int = 64
 
     priority_queue_entries: int = 256  # Inform-Epoch sorting queue
     #: Paper: ~1 injected membar per 100k cycles on full-length runs;
@@ -160,7 +158,6 @@ class SafetyNetConfig:
     enabled: bool = True
     checkpoint_interval: int = 12_500
     max_checkpoints: int = 8
-    validation_latency: int = 2_000  # cycles before a checkpoint retires
 
     @property
     def recovery_window(self) -> int:
@@ -178,7 +175,6 @@ class SystemConfig:
     num_nodes: int = 8
     protocol: ProtocolKind = ProtocolKind.DIRECTORY
     model: ConsistencyModel = ConsistencyModel.TSO
-    block_size: int = 64
 
     l1: CacheConfig = field(default_factory=CacheConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
@@ -193,9 +189,7 @@ class SystemConfig:
         """Raise :class:`ConfigError` on inconsistent parameters."""
         if self.num_nodes < 1:
             raise ConfigError("need at least one node")
-        if self.block_size & (self.block_size - 1):
-            raise ConfigError("block_size must be a power of two")
-        self.l1.validate(self.block_size)
+        self.l1.validate()
         if self.dvmc.enable_uniprocessor and self.dvmc.verification_cache_entries < 1:
             raise ConfigError("verification cache must have entries")
         if self.dvmc.any_enabled and not self.safetynet.enabled:

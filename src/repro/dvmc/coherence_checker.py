@@ -199,7 +199,7 @@ class CoherenceChecker:
         self._obs_on = False
         self._obs_met_probes = 0
         self._obs_overlap_checks = 0
-        #: Flight recorder (None unless span_sample > 0; see obs.spans).
+        #: Flight recorder (None unless built with spans=True; see obs.spans).
         self.spans = None
         self._span_cet_tracks: List[int] = []
         self._span_met_tracks: List[int] = []
@@ -287,7 +287,7 @@ class CoherenceChecker:
             entry.data_ready = True
         cet[block] = entry
         s = self.spans
-        if s is not None and s.trace_infra:
+        if s is not None:
             # Epochs belong to no single op (tid 0); forensics joins
             # them to transactions by block address.
             entry.span_token = s.open(
@@ -643,7 +643,7 @@ class CoherenceChecker:
             end_hash,
         ) = record
         s = self.spans
-        if s is not None and s.trace_infra:
+        if s is not None:
             s.instant(
                 0, self._span_met_tracks[home], K_MET,
                 self.scheduler.now, block, src, home,

@@ -23,10 +23,10 @@ from repro.common.types import MembarMask, OpType, ViolationReport
 from repro.config import SystemConfig
 from repro.consistency.ordering_table import MASK_BITS, OrderingTable
 from repro.dvmc.streaming import OpLog, RECORD_WIDTH
-from repro.obs.spans import K_AR
+from repro.obs.spans import K_AR, OP_CLASS
 
-#: Integer encodings for the streaming log (see :mod:`repro.dvmc.streaming`).
-_OP_CODE = {op: i for i, op in enumerate(OpType)}
+#: Integer encodings for the streaming log (see :mod:`repro.dvmc.streaming`);
+#: op types are written as their :data:`~repro.obs.spans.OP_CLASS` code.
 _OP_FROM_CODE = tuple(OpType)
 _MASK_FROM_BITS = tuple(MembarMask(v) for v in range(16))
 _REC_COMMITTED = 0
@@ -86,7 +86,7 @@ class AllowableReorderingChecker:
         self._obs_drains = 0
         self._obs_drained_records = 0
         self._obs_drain_max = 0
-        #: Flight recorder (None unless span_sample > 0; see obs.spans).
+        #: Flight recorder (None unless built with spans=True; see obs.spans).
         self.spans = None
         self._span_track = 0
         scheduler.post(self._interval, self._injected_membar_check)
@@ -186,7 +186,7 @@ class AllowableReorderingChecker:
                     n = 0
                 buf = log.buf
                 buf[n] = _REC_COMMITTED
-                buf[n + 1] = _OP_CODE[op_type]
+                buf[n + 1] = OP_CLASS[op_type]
                 buf[n + 2] = seq
                 buf[n + 3] = cycle
                 log.length = n + 6
@@ -203,7 +203,7 @@ class AllowableReorderingChecker:
                 n = 0
             buf = log.buf
             buf[n] = _REC_PERFORMED
-            buf[n + 1] = _OP_CODE[op_type]
+            buf[n + 1] = OP_CLASS[op_type]
             buf[n + 2] = seq
             buf[n + 3] = mask
             buf[n + 4] = self._table_id()
@@ -228,7 +228,7 @@ class AllowableReorderingChecker:
                 # The AR verdict point: this op's reorder window closed.
                 s.instant(
                     tid, self._span_track, K_AR, cycle,
-                    _OP_CODE[op_type], seq, self.node,
+                    OP_CLASS[op_type], seq, self.node,
                 )
         plan = table.check_plans.get((op_type, mask))
         if plan is None:

@@ -105,7 +105,7 @@ class UniprocessorOrderingChecker:
         self._h_cache_reads = stats.handle(self._stat_cache_reads)
         self._values = stats.values
         self._scan_interval = config.dvmc.membar_injection_interval
-        #: Flight recorder (None unless span_sample > 0; see obs.spans).
+        #: Flight recorder (None unless built with spans=True; see obs.spans).
         self.spans = None
         self._span_track = 0
         scheduler.post(self._scan_interval, self._scan_stale)

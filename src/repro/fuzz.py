@@ -189,7 +189,7 @@ def case_programs(case: FuzzCase) -> List:
 # -- execution ---------------------------------------------------------------
 
 
-def _execute_case(case: FuzzCase, max_cycles: int, span_sample: int = 0):
+def _execute_case(case: FuzzCase, max_cycles: int, spans: bool = False):
     """Run one case through the full machine; (system, trace, result)."""
     if case.fault is not None:
         # An injected fault may legitimately hang the machine; bound
@@ -207,7 +207,7 @@ def _execute_case(case: FuzzCase, max_cycles: int, span_sample: int = 0):
         .with_nodes(len(programs))
         .with_seed(case.seed)
     )
-    system = build_system(config, programs=programs, span_sample=span_sample)
+    system = build_system(config, programs=programs, spans=spans)
     if case.fault is not None:
         injector = FaultInjector(system, seed=case.seed * 7919 + case.fault_cycle)
         injector.arm(FaultPlan(FaultKind(case.fault), case.fault_cycle))
@@ -250,12 +250,11 @@ def run_case(case: FuzzCase, max_cycles: int = 2_000_000) -> CaseResult:
 def run_case_recorded(case: FuzzCase, max_cycles: int = 2_000_000):
     """Re-run a case with the flight recorder on; (result, recorder).
 
-    The machine records at stride 1 (``span_sample=1``), so the
-    recorder captures *every* operation of the shrunk reproducer.  The
-    recorder never feeds back into the simulation, hence the rerun's
-    verdict is bit-identical to the plain run the campaign classified.
+    The recorder captures *every* operation of the shrunk reproducer
+    and never feeds back into the simulation, hence the rerun's verdict
+    is bit-identical to the plain run the campaign classified.
     """
-    system, trace, result = _execute_case(case, max_cycles, span_sample=1)
+    system, trace, result = _execute_case(case, max_cycles, spans=True)
     return _differential(case, trace, result), system.spans
 
 

@@ -47,7 +47,6 @@ class Network(ABC):
         self._pending_batches: Dict[int, List[Message]] = {}
         self._fault_hook: Optional[FaultHook] = None
         self.messages_sent = 0
-        self.deliveries_coalesced = 0
         self._h_coalesce = stats.handle(f"net.{name}.coalesced_deliveries")
         # Interned hot-path targets: every message delivery goes through
         # deliver_at, and subclasses charge per-link byte counters per
@@ -56,8 +55,8 @@ class Network(ABC):
         self._values = stats.values
         self._cb_deliver_batch = self._deliver_batch
         #: Flight recorder (:mod:`repro.obs.spans`); ``None`` unless the
-        #: machine is built with ``span_sample > 0`` — every record site
-        #: is guarded so the disabled path costs one attribute load.
+        #: machine is built with ``spans=True`` — every record site is
+        #: guarded so the disabled path costs one attribute load.
         self.spans = None
         self._span_track = 0
 
@@ -112,7 +111,6 @@ class Network(ABC):
         batch = self._pending_batches.get(key)
         if batch is not None:
             batch.append(message)
-            self.deliveries_coalesced += 1
             self._values[self._h_coalesce] += 1
             return
         self._pending_batches[key] = batch = [message]
@@ -150,7 +148,7 @@ class Network(ABC):
         link_prefix = f"net.{self.name}.link."
         links = self.stats.counters_with_prefix(link_prefix)
         sent = self.messages_sent
-        coalesced = self.deliveries_coalesced
+        coalesced = self._values[self._h_coalesce]
         return {
             "messages_sent": sent,
             "deliveries_coalesced": coalesced,

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 from repro.common.errors import SimulationError
 from repro.common.stats import StatsRegistry
 from repro.common.types import (
+    BLOCK_SIZE,
     WORD_MASK,
     WORDS_PER_BLOCK,
     CoherenceState,
@@ -55,13 +56,11 @@ class CacheArray:
         self,
         name: str,
         config: CacheConfig,
-        block_size: int,
         stats: StatsRegistry,
     ):
         self.name = name
         self.config = config
-        self.block_size = block_size
-        self.num_sets = config.num_sets(block_size)
+        self.num_sets = config.num_sets()
         # Sets are allocated lazily (None until first install): short
         # runs touch a small fraction of the index space, and array
         # construction is on the per-run path of every experiment
@@ -69,11 +68,11 @@ class CacheArray:
         self._sets: List[Optional[Dict[int, CacheLine]]] = (
             [None] * self.num_sets
         )
-        # Fast set-index arithmetic: block size is always a power of two
-        # here; when the set count is too, (addr >> shift) & mask beats
-        # the divide/modulo pair on the per-access path.
-        self._block_mask = ~(block_size - 1)
-        self._shift = block_size.bit_length() - 1
+        # Fast set-index arithmetic: when the set count is a power of
+        # two, like the block size, (addr >> shift) & mask beats the
+        # divide/modulo pair on the per-access path.
+        self._block_mask = ~(BLOCK_SIZE - 1)
+        self._shift = BLOCK_SIZE.bit_length() - 1
         self._set_mask = (
             self.num_sets - 1
             if self.num_sets & (self.num_sets - 1) == 0
@@ -88,7 +87,7 @@ class CacheArray:
     def _set_index(self, addr: int) -> int:
         if self._set_mask is not None:
             return (addr >> self._shift) & self._set_mask
-        return (block_of(addr) // self.block_size) % self.num_sets
+        return (block_of(addr) // BLOCK_SIZE) % self.num_sets
 
     # Lookup / insert ------------------------------------------------------
     def lookup(self, addr: int) -> Optional[CacheLine]:

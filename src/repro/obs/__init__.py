@@ -4,7 +4,7 @@ Everything here is *off by default* and guaranteed not to change
 simulation results.  Observability belongs to one machine and is set
 when it is built: ``build_system(..., obs=True)`` gives it a phase
 timer and the kernel and checker obs counters, and
-``build_system(..., span_sample=N)`` a flight recorder.  The plane
+``build_system(..., spans=True)`` a flight recorder.  The plane
 keeps no counter store of its own: a snapshot exports the machine's
 :class:`~repro.common.stats.StatsRegistry` beside each layer's
 ``obs_snapshot()`` view.  An observed or recorded run produces

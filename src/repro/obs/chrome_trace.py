@@ -18,15 +18,12 @@ import json
 import os
 from typing import Dict, List
 
-from repro.obs.spans import K_OP, KIND_NAMES, SpanRecorder
-
-#: Operation class names for ``args.op`` (mirrors OpClass codes).
-_OP_CLASS_NAMES = ("load", "store", "atomic", "membar", "other")
+from repro.obs.spans import K_OP, KIND_NAMES, OP_CLASS_NAMES, SpanRecorder
 
 
 def _op_class_name(code: int) -> str:
-    if 0 <= code < len(_OP_CLASS_NAMES):
-        return _OP_CLASS_NAMES[code]
+    if 0 <= code < len(OP_CLASS_NAMES):
+        return OP_CLASS_NAMES[code]
     return str(code)
 
 

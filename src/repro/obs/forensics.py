@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.types import block_of
 from repro.obs.spans import (
     CHECKER_CODES,
     K_AR,
@@ -48,12 +49,9 @@ from repro.obs.spans import (
     K_VIOL,
     K_WB,
     KIND_NAMES,
+    OP_CLASS_NAMES,
     SpanRecorder,
 )
-
-#: Names for the ``a`` column of :data:`~repro.obs.spans.K_OP` records
-#: (mirrors ``_SPAN_OP_CLASS`` in :mod:`repro.processor.core`).
-OP_CLASS_NAMES = ("load", "store", "atomic", "membar", "stbar")
 
 #: Default forensic window: how far back (cycles) from the violation
 #: the same-block sweep reaches.
@@ -145,7 +143,6 @@ def _find_op(
     addr: int,
     seq: int,
     cycle: int,
-    block_size: int = 64,
     op_class: int = -1,
 ) -> int:
     """Best-effort trace id for a (node, addr, seq, cycle) description.
@@ -162,14 +159,13 @@ def _find_op(
         tid = recorder.tid_for(node, seq)
         if tid and (op_class < 0 or ops[tid][3] == op_class):
             return tid
-    mask = ~(block_size - 1)
     for want_class in ((op_class, -1) if op_class >= 0 else (-1,)):
         best_tid = 0
         best_score = None
         for tid, (_, t0, _, cls, a, s, n) in ops.items():
             if node >= 0 and n != node:
                 continue
-            if addr and (a & mask) != (addr & mask):
+            if addr and block_of(a) != block_of(addr):
                 continue
             if want_class >= 0 and cls != want_class:
                 continue
@@ -180,7 +176,7 @@ def _find_op(
                     continue
                 score = cycle - t0
             else:
-                score = -tid  # newest sampled op wins
+                score = -tid  # newest op wins
             if best_score is None or score < best_score:
                 best_score, best_tid = score, tid
         if best_tid:
@@ -188,9 +184,7 @@ def _find_op(
     return 0
 
 
-def resolve_anchor(
-    recorder: SpanRecorder, detail: str = "", block_size: int = 64
-) -> Optional[Anchor]:
+def resolve_anchor(recorder: SpanRecorder, detail: str = "") -> Optional[Anchor]:
     """The violating op: live recorder violation first, detail second."""
     if recorder.violations:
         v = recorder.violations[0]
@@ -210,8 +204,12 @@ def resolve_anchor(
             return None
     if not anchor.tid:
         anchor.tid = _find_op(
-            recorder, anchor.node, anchor.addr, anchor.seq, anchor.cycle,
-            block_size, anchor.op_class,
+            recorder,
+            anchor.node,
+            anchor.addr,
+            anchor.seq,
+            anchor.cycle,
+            anchor.op_class,
         )
     op = recorder.op_spans().get(anchor.tid)
     if op is not None:
@@ -270,12 +268,10 @@ def causal_slice(
     recorder: SpanRecorder,
     anchor: Anchor,
     window: int = DEFAULT_WINDOW,
-    block_size: int = 64,
 ) -> Slice:
     """Walk the recorder backwards from ``anchor`` and slice it."""
-    mask = ~(block_size - 1)
     ops = recorder.op_spans()
-    block = anchor.addr & mask if anchor.addr else 0
+    block = block_of(anchor.addr) if anchor.addr else 0
     anchor_root = ops.get(anchor.tid)
     if not block and anchor_root is not None:
         # Barriers carry no address: focus the slice on the nearest
@@ -289,7 +285,7 @@ def causal_slice(
             if best is None or rank < best[0]:
                 best = (rank, a)
         if best is not None:
-            block = best[1] & mask
+            block = block_of(best[1])
     hi = anchor.cycle
     if hi < 0:
         hi = recorder.end_time or max((op[2] for op in ops.values()), default=0)
@@ -305,8 +301,14 @@ def causal_slice(
     if anchor_op is not None:
         own.append(
             (
-                anchor.tid, anchor_op[0], K_OP, anchor_op[1], anchor_op[2],
-                anchor_op[3], anchor_op[4], anchor_op[5],
+                anchor.tid,
+                anchor_op[0],
+                K_OP,
+                anchor_op[1],
+                anchor_op[2],
+                anchor_op[3],
+                anchor_op[4],
+                anchor_op[5],
             )
         )
     for rec in recorder.events():
@@ -319,7 +321,7 @@ def causal_slice(
             continue
         if t1 < lo or t0 > hi:
             continue
-        if block and kind in _ADDR_KINDS and (a & mask) == block:
+        if block and kind in _ADDR_KINDS and block_of(a) == block:
             same_block.append(rec)
             if tid and tid not in related and tid in ops:
                 related[tid] = ops[tid]
@@ -329,11 +331,11 @@ def causal_slice(
         for tid, op in ops.items():
             if tid == anchor.tid or tid in related:
                 continue
-            if (op[4] & mask) == block and op[1] <= hi and op[2] >= lo:
+            if block_of(op[4]) == block and op[1] <= hi and op[2] >= lo:
                 related[tid] = op
     # Oracle edge hints name the causally-related endpoints directly.
     for node, seq, _, addr in anchor.hints:
-        tid = _find_op(recorder, node, addr, seq, -1, block_size)
+        tid = _find_op(recorder, node, addr, seq, -1)
         if tid and tid != anchor.tid and tid in ops:
             related.setdefault(tid, ops[tid])
     # Program-order neighbours on the violating node (the ops a fence
@@ -415,7 +417,6 @@ def post_mortem(
     recorder: SpanRecorder,
     detail: str = "",
     window: int = DEFAULT_WINDOW,
-    block_size: int = 64,
     max_lines: int = 40,
 ) -> str:
     """Human-readable post-mortem for the recorded run's violation.
@@ -425,7 +426,7 @@ def post_mortem(
     (same block inside the window, oracle edge endpoints, program-order
     neighbours), plus epoch/checkpoint context.
     """
-    anchor = resolve_anchor(recorder, detail, block_size)
+    anchor = resolve_anchor(recorder, detail)
     lines: List[str] = ["=== DVMC violation post-mortem ==="]
     if anchor is None:
         lines.append(
@@ -439,7 +440,7 @@ def post_mortem(
         )
         return "\n".join(lines)
     ops = recorder.op_spans()
-    sl = causal_slice(recorder, anchor, window, block_size)
+    sl = causal_slice(recorder, anchor, window)
     lines.append(f"checker : {anchor.checker} ({anchor.source})")
     if anchor.detail:
         lines.append(f"verdict : {anchor.detail}")
@@ -459,7 +460,7 @@ def post_mortem(
     elif anchor.seq >= 0:
         lines.append(
             f"violating op : seq {anchor.seq} on node {anchor.node}"
-            " (not sampled by the recorder)"
+            " (no recorded op matches)"
         )
     if sl.block:
         note = (
@@ -483,7 +484,7 @@ def post_mortem(
         for tid, rop in list(sl.related.items())[:12]:
             rel = (
                 "same block"
-                if sl.block and (rop[4] & ~(block_size - 1)) == sl.block
+                if sl.block and block_of(rop[4]) == sl.block
                 else "program-order neighbour"
                 if rop[6] == anchor.node
                 else "window overlap"

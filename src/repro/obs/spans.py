@@ -1,22 +1,22 @@
 """Transaction flight recorder: ints-only causal spans per memory op.
 
-On a machine built with ``build_system(..., span_sample=N)`` every
-sampled memory operation (every Nth) is assigned a **trace id** at
-issue (``processor/core.py``) and child spans are opened/closed at
-every hand-off the transaction makes on its way through the machine:
-write-buffer residency, cache-controller MSHR lifetime, per-link
-express-plane reservations and message flights, directory/snooping
-ownership transitions, SafetyNet checkpoints, and finally the DVMC
-verdicts (AR reorder check, UO commit/replay, CC epoch + MET
-processing).
+On a machine built with ``build_system(..., spans=True)`` every memory
+operation is assigned a **trace id** at issue (``processor/core.py``)
+and child spans are opened/closed at every hand-off the transaction
+makes on its way through the machine: write-buffer residency,
+cache-controller MSHR lifetime, per-link express-plane reservations
+and message flights, directory/snooping ownership transitions,
+SafetyNet checkpoints, and finally the DVMC verdicts (AR reorder
+check, UO commit/replay, CC epoch + MET processing).  Infrastructure
+spans that belong to no single operation (epochs, MET records,
+checkpoints, ownership hand-offs no miss started) are recorded with
+trace id 0; forensics joins them to transactions by block.
 
-The storage discipline follows :class:`repro.dvmc.streaming.OpLog`:
-records are flat integers in geometrically grown parallel arrays, closed
-spans land in a ring that keeps the *last* ``capacity`` records (the
-tail right before a violation is what forensics wants), and op
-sampling bounds enabled-path cost.  Recording never feeds back into
-the simulation: a recorder-on run is bit-identical to a recorder-off
-run at every stride (asserted by
+Closed spans are flat 8-tuples of ints in a ring that keeps the *last*
+:data:`CAPACITY` records (the tail right before a violation is what
+forensics wants); at most :data:`CAPACITY` operations get a trace id.
+Recording never feeds back into the simulation: a recorded run is
+bit-identical to a plain run (asserted by
 ``tests/integration/test_spans_identity.py``).
 
 Consumers: :mod:`repro.obs.chrome_trace` (Perfetto export) and
@@ -25,13 +25,19 @@ Consumers: :mod:`repro.obs.chrome_trace` (Perfetto export) and
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Tuple
 
-#: Default ring capacity (closed spans kept).
-DEFAULT_CAPACITY = 65536
-#: First ring allocation (slots); the ring starts empty and grows
-#: geometrically from here up to ``capacity`` as spans are emitted.
-_GROW_MIN = 256
+from repro.common.types import OpType
+
+#: Closed spans the ring keeps, and operations given a trace id.
+CAPACITY = 65536
+
+#: Op-class codes (the ``a`` column of :data:`K_OP` and :data:`K_AR`
+#: records) and their names, in :class:`~repro.common.types.OpType`
+#: order.
+OP_CLASS = {op: i for i, op in enumerate(OpType)}
+OP_CLASS_NAMES = tuple(op.value for op in OpType)
 
 # -- span kind codes (the ``kind`` column) ----------------------------------
 K_OP = 0  #: root span: one memory operation     a=op class  b=addr  c=seq
@@ -69,6 +75,9 @@ KIND_NAMES = (
 #: ``c`` column of :data:`K_VIOL` records.
 CHECKER_CODES = {"AR": 1, "UO": 2, "CC": 3}
 
+#: One closed span: (tid, track, kind, t0, t1, a, b, c).
+Span = Tuple[int, int, int, int, int, int, int, int]
+
 
 class SpanRecorder:
     """Ring-buffered span store with interned track names.
@@ -76,38 +85,23 @@ class SpanRecorder:
     A *track* is one timeline in the exported trace (one per core,
     cache, link, home node, checker...).  A *trace id* (``tid``) ties
     every span belonging to one memory operation together; ``tid 0``
-    marks infrastructure spans (epochs, checkpoints, unsampled
-    traffic) that belong to no single operation.
+    marks infrastructure spans (epochs, MET records, checkpoints,
+    ownership hand-offs) that belong to no single operation.
 
-    Root op spans live outside the ring (one slot per sampled op,
+    Root op spans live outside the ring (one slot per operation,
     extended as child spans close) so a long run's tail of hand-off
     records never evicts the op table forensics anchors on.
     """
 
     __slots__ = (
-        "capacity",
-        "sample",
-        "trace_infra",
-        "_size",
-        "seen_ops",
         "dropped_ops",
-        "dropped_spans",
-        "next_tid",
+        "emitted_spans",
         "cur",
-        "count",
         "force_closed",
         "finalized",
         "end_time",
         "violations",
-        "_tid",
-        "_track",
-        "_kind",
-        "_t0",
-        "_t1",
-        "_a",
-        "_b",
-        "_c",
-        "_head",
+        "_ring",
         "_open",
         "_next_token",
         "_ops",
@@ -116,26 +110,14 @@ class SpanRecorder:
         "_track_list",
     )
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, sample: int = 1):
-        self.capacity = max(16, capacity)
-        self.sample = max(1, sample)
-        #: Record op-less infrastructure spans (epochs, MET informs,
-        #: checkpoints, unsampled ownership handoffs)?  Only at full
-        #: sampling — forensic reruns — where they can be joined to
-        #: transactions by block; under sampling they are skipped to
-        #: bound the always-on cost.
-        self.trace_infra = self.sample == 1
-        #: Operations offered at issue (before sampling).
-        self.seen_ops = 0
-        #: Sampled ops refused because the op table was full.
+    def __init__(self):
+        #: Ops refused a trace id because the op table was full.
         self.dropped_ops = 0
-        #: Closed spans evicted because the ring wrapped.
-        self.dropped_spans = 0
-        self.next_tid = 1
+        #: Closed spans emitted, kept or since evicted by the ring.
+        self.emitted_spans = 0
         #: Side-channel: the trace id of the op the core is currently
         #: handing to the cache controller (0 between hand-offs).
         self.cur = 0
-        self.count = 0
         #: Spans still open at finalize (closed with the end time).
         self.force_closed = 0
         self.finalized = False
@@ -144,26 +126,12 @@ class SpanRecorder:
         #: (checker/node/cycle/addr/seq/tid/detail) — the forensics
         #: anchor of choice when a checker actually fired.
         self.violations: List[Dict] = []
-        # The ring starts empty and grows geometrically up to
-        # ``capacity`` on demand (in ``_emit``): preallocating the full
-        # ring (8 x 64k list slots) costs more than an entire short
-        # run, and sampled always-on runs rarely need more than a few
-        # hundred slots.
-        self._size = 0
-        self._tid: List[int] = []
-        self._track: List[int] = []
-        self._kind: List[int] = []
-        self._t0: List[int] = []
-        self._t1: List[int] = []
-        self._a: List[int] = []
-        self._b: List[int] = []
-        self._c: List[int] = []
-        self._head = 0
+        self._ring: Deque[Span] = deque(maxlen=CAPACITY)
         self._open: Dict[int, Tuple[int, int, int, int, int, int, int]] = {}
         self._next_token = 1
         #: tid -> [track, t0, t1, op_class, addr, seq, node]
         self._ops: Dict[int, List[int]] = {}
-        #: (node << 32 | seq) -> trace id of the sampled op.
+        #: (node << 32 | seq) -> trace id of the op.
         self._seqmap: Dict[int, int] = {}
         self._tracks: Dict[str, int] = {}
         self._track_list: List[str] = []
@@ -188,22 +156,18 @@ class SpanRecorder:
     def new_op(
         self, track: int, node: int, op_class: int, addr: int, seq: int, t: int
     ) -> int:
-        """Assign a trace id at issue; 0 when sampled out or full."""
-        seen = self.seen_ops
-        self.seen_ops = seen + 1
-        if self.sample > 1 and seen % self.sample:
-            return 0
-        if len(self._ops) >= self.capacity:
+        """Assign a trace id at issue; 0 once the op table is full."""
+        ops = self._ops
+        if len(ops) >= CAPACITY:
             self.dropped_ops += 1
             return 0
-        tid = self.next_tid
-        self.next_tid = tid + 1
-        self._ops[tid] = [track, t, t, op_class, addr, seq, node]
+        tid = len(ops) + 1
+        ops[tid] = [track, t, t, op_class, addr, seq, node]
         self._seqmap[node << 32 | seq] = tid
         return tid
 
     def tid_for(self, node: int, seq: int) -> int:
-        """The trace id of (node, seq), or 0 when not sampled."""
+        """The trace id of (node, seq), or 0 when it has none."""
         return self._seqmap.get(node << 32 | seq, 0)
 
     def _extend(self, tid: int, t: int) -> None:
@@ -218,42 +182,19 @@ class SpanRecorder:
 
     # -- spans --------------------------------------------------------------
 
-    def _emit(
-        self, tid: int, track: int, kind: int,
-        t0: int, t1: int, a: int, b: int, c: int,
-    ) -> None:
-        i = self._head
-        if i == self._size:
-            if i < self.capacity:
-                pad = [0] * (min(self.capacity, max(_GROW_MIN, i * 4)) - i)
-                self._tid.extend(pad)
-                self._track.extend(pad)
-                self._kind.extend(pad)
-                self._t0.extend(pad)
-                self._t1.extend(pad)
-                self._a.extend(pad)
-                self._b.extend(pad)
-                self._c.extend(pad)
-                self._size = i + len(pad)
-            else:
-                i = 0
-        self._tid[i] = tid
-        self._track[i] = track
-        self._kind[i] = kind
-        self._t0[i] = t0
-        self._t1[i] = t1
-        self._a[i] = a
-        self._b[i] = b
-        self._c[i] = c
-        self._head = i + 1
-        if self.count < self.capacity:
-            self.count += 1
-        else:
-            self.dropped_spans += 1
+    def _emit(self, span: Span) -> None:
+        self._ring.append(span)
+        self.emitted_spans += 1
 
     def open(
-        self, tid: int, track: int, kind: int,
-        t0: int, a: int = 0, b: int = 0, c: int = 0,
+        self,
+        tid: int,
+        track: int,
+        kind: int,
+        t0: int,
+        a: int = 0,
+        b: int = 0,
+        c: int = 0,
     ) -> int:
         """Open a child span; returns the token ``close`` pairs with."""
         token = self._next_token
@@ -265,38 +206,56 @@ class SpanRecorder:
         rec = self._open.pop(token, None)
         if rec is None:
             return
-        self._emit(rec[0], rec[1], rec[2], rec[3], t1, rec[4], rec[5], rec[6])
-        if rec[0] > 0:
-            self._extend(rec[0], t1)
+        tid, track, kind, t0, a, b, c = rec
+        self._emit((tid, track, kind, t0, t1, a, b, c))
+        if tid > 0:
+            self._extend(tid, t1)
 
     def span(
-        self, tid: int, track: int, kind: int,
-        t0: int, t1: int, a: int = 0, b: int = 0, c: int = 0,
+        self,
+        tid: int,
+        track: int,
+        kind: int,
+        t0: int,
+        t1: int,
+        a: int = 0,
+        b: int = 0,
+        c: int = 0,
     ) -> None:
         """Record a span whose end is already known at open time
         (express-plane flights: delivery time is computed at send)."""
-        self._emit(tid, track, kind, t0, t1, a, b, c)
+        self._emit((tid, track, kind, t0, t1, a, b, c))
         if tid > 0:
             self._extend(tid, t1)
 
     def instant(
-        self, tid: int, track: int, kind: int,
-        t: int, a: int = 0, b: int = 0, c: int = 0,
+        self,
+        tid: int,
+        track: int,
+        kind: int,
+        t: int,
+        a: int = 0,
+        b: int = 0,
+        c: int = 0,
     ) -> None:
-        self._emit(tid, track, kind, t, t, a, b, c)
+        self._emit((tid, track, kind, t, t, a, b, c))
         if tid > 0:
             self._extend(tid, t)
 
     def violation(
-        self, checker: str, node: int, cycle: int,
-        addr: int = 0, seq: int = -1, detail: str = "",
+        self,
+        checker: str,
+        node: int,
+        cycle: int,
+        addr: int = 0,
+        seq: int = -1,
+        detail: str = "",
     ) -> None:
         """Record a checker violation (instant + forensics anchor)."""
         tid = self._seqmap.get(node << 32 | seq, 0) if seq >= 0 else 0
         track = self.track(f"checker.{checker.lower()}")
         self.instant(
-            tid, track, K_VIOL, cycle, addr, node,
-            CHECKER_CODES.get(checker, 0),
+            tid, track, K_VIOL, cycle, addr, node, CHECKER_CODES.get(checker, 0)
         )
         self.violations.append(
             {
@@ -326,25 +285,15 @@ class SpanRecorder:
     def open_count(self) -> int:
         return len(self._open)
 
-    def events(self) -> List[Tuple[int, int, int, int, int, int, int, int]]:
+    def events(self) -> List[Span]:
         """Ring records oldest-first: (tid, track, kind, t0, t1, a, b, c)."""
-        if self.count < self.capacity:
-            idx = range(self.count)
-        else:
-            head = self._head
-            idx = [*range(head, self.capacity), *range(head)]
-        tid, track, kind = self._tid, self._track, self._kind
-        t0, t1, a, b, c = self._t0, self._t1, self._a, self._b, self._c
-        return [
-            (tid[i], track[i], kind[i], t0[i], t1[i], a[i], b[i], c[i])
-            for i in idx
-        ]
+        return list(self._ring)
 
     def op_spans(self) -> Dict[int, Tuple[int, int, int, int, int, int, int]]:
         """tid -> (track, t0, t1, op_class, addr, seq, node)."""
         return {tid: tuple(op) for tid, op in self._ops.items()}
 
-    def records(self) -> List[Tuple[int, int, int, int, int, int, int, int]]:
+    def records(self) -> List[Span]:
         """Op roots + ring events as one uniform record list.
 
         Op roots are emitted as :data:`K_OP` records in tid order; ring
@@ -354,19 +303,18 @@ class SpanRecorder:
             (tid, op[0], K_OP, op[1], op[2], op[3], op[4], op[5])
             for tid, op in sorted(self._ops.items())
         ]
-        out.extend(self.events())
+        out.extend(self._ring)
         return out
 
     def stats(self) -> Dict[str, int]:
         """Occupancy and loss accounting (observable interface)."""
+        kept = len(self._ring)
         return {
-            "capacity": self.capacity,
-            "sample": self.sample,
-            "seen_ops": self.seen_ops,
+            "capacity": CAPACITY,
             "traced_ops": len(self._ops),
             "dropped_ops": self.dropped_ops,
-            "spans_kept": self.count,
-            "dropped_spans": self.dropped_spans,
+            "spans_kept": kept,
+            "dropped_spans": self.emitted_spans - kept,
             "open_spans": len(self._open),
             "force_closed": self.force_closed,
             "tracks": len(self._track_list),

@@ -34,22 +34,13 @@ from repro.config import SystemConfig
 from repro.consistency.models import ConsistencyModel
 from repro.consistency.ordering_table import OrderingTable
 from repro.consistency.tables import table_for
-from repro.obs.spans import K_WB
+from repro.obs.spans import K_WB, OP_CLASS
 
 from .operations import Batch, Compute, SetModel
 from .write_buffer import WBEntry, WriteBuffer
 
 #: Extra stall cycles charged for a load-order mis-speculation squash.
 SQUASH_PENALTY = 12
-
-#: Flight-recorder op-class codes (``a`` column of K_OP span records).
-_SPAN_OP_CLASS = {
-    OpType.LOAD: 0,
-    OpType.STORE: 1,
-    OpType.ATOMIC: 2,
-    OpType.MEMBAR: 3,
-    OpType.STBAR: 4,
-}
 
 
 class OpRec:
@@ -79,7 +70,7 @@ class OpRec:
 
     def __init__(self, seq: int, op) -> None:
         self.seq = seq
-        #: Flight-recorder trace id (0 = not traced / sampled out).
+        #: Flight-recorder trace id (0 = not traced).
         self.tid = 0
         kind: OpType = op.op_type
         self.op_type = kind
@@ -142,10 +133,7 @@ class Core:
         config: SystemConfig,
         controller,
         program,
-        uo_checker=None,
-        ar_checker=None,
-        model: Optional[ConsistencyModel] = None,
-        wake_hub: Optional[WakeHub] = None,
+        wake_hub: WakeHub,
     ):
         self.node = node
         self.scheduler = scheduler
@@ -153,9 +141,10 @@ class Core:
         self.config = config
         self.controller = controller
         self.program = program
-        self.uo = uo_checker
-        self.ar = ar_checker
-        self._adopt_model(model or config.model)
+        #: DVMC checkers (UO, AR), wired by the builder when enabled.
+        self.uo = None
+        self.ar = None
+        self._adopt_model(config.model)
 
         self._inflight: Deque[OpRec] = deque()
         # Committed entries form a strict prefix of ``_inflight`` (commit
@@ -213,10 +202,7 @@ class Core:
         # re-posting fixed-period retries; every transition that can
         # unblock them notifies.  The hub is shared system-wide
         # (builder passes it) so same-cycle checks across cores run in
-        # one deterministic agenda; a standalone core gets a private
-        # hub with the same semantics.
-        if wake_hub is None:
-            wake_hub = WakeHub(scheduler)
+        # one deterministic agenda.
         self._hub = wake_hub
         #: Ordering/resource conditions: something *performed*, the
         #: write buffer drained, the SC store slot freed, a VC entry
@@ -243,7 +229,6 @@ class Core:
                 stats=stats,
                 issue=self._issue_store,
                 on_perform=self._store_performed,
-                require_verified=self.uo is not None,
             )
             if uses_wb
             else None
@@ -256,8 +241,8 @@ class Core:
         #: Fault injection: XOR applied to the next load's bound value
         #: (models LSQ mis-forwarding / load reordering errors).
         self.fault_load_value_xor: Optional[int] = None
-        #: Transaction flight recorder (``span_sample > 0``), wired by
-        #: the builder; None costs one attribute load per guarded site.
+        #: Transaction flight recorder (``spans=True``), wired by the
+        #: builder; None costs one attribute load per guarded site.
         self.spans = None
         self._span_track = 0
         self._span_wb_track = 0
@@ -300,7 +285,7 @@ class Core:
             else:
                 ops = yielded.ops
                 if ops:
-                    self._decode_group(ops, is_batch=True)
+                    self._decode_group(ops)
                 else:
                     self._post(1, self._cb_advance, (None,))
             return
@@ -396,7 +381,7 @@ class Core:
         s = self.spans
         if s is not None:
             rec.tid = s.new_op(
-                self._span_track, self.node, _SPAN_OP_CLASS[kind],
+                self._span_track, self.node, OP_CLASS[kind],
                 rec.addr, rec.seq, self.scheduler.now,
             )
         self._inflight.append(rec)
@@ -404,10 +389,11 @@ class Core:
         rec.release = self._release_single
         self._post(self._decode_delay_single, self._cb_execute, rec.poll_args)
 
-    def _decode_group(self, ops: List, is_batch: bool) -> None:
+    def _decode_group(self, ops: List) -> None:
+        """Decode a :class:`Batch`; the program resumes with its results."""
         if len(self._inflight) + len(ops) > self._rob_size:
             # ROB full: park until retirement frees entries.
-            self._ws_rob.park(self._cb_decode_group, (ops, is_batch))
+            self._ws_rob.park(self._cb_decode_group, (ops,))
             return
         recs = []
         table = self.table
@@ -430,21 +416,12 @@ class Core:
             ) and rec.ord_row[self._store_si]
             if spans is not None:
                 rec.tid = spans.new_op(
-                    self._span_track, self.node, _SPAN_OP_CLASS[kind],
+                    self._span_track, self.node, OP_CLASS[kind],
                     rec.addr, rec.seq, self.scheduler.now,
                 )
             self._inflight.append(rec)
             recs.append(rec)
             values[ops_h[kind]] += 1
-
-        if not is_batch and len(recs) == 1:
-            # Singleton group (the overwhelmingly common shape): the
-            # release path is a shared bound method — no results list,
-            # no countdown cell, no per-rec closure.
-            rec = recs[0]
-            rec.release = self._release_single
-            self._post(self._decode_delay_single, self._cb_execute, rec.poll_args)
-            return
 
         results: List[Optional[int]] = [None] * len(recs)
         remaining = [len(recs)]
@@ -453,8 +430,7 @@ class Core:
             results[index] = value
             remaining[0] -= 1
             if remaining[0] == 0:
-                out = results if is_batch else results[0]
-                self._post(1, self._cb_advance, (out,))
+                self._post(1, self._cb_advance, (results,))
 
         for index, rec in enumerate(recs):
             rec.release = lambda v, i=index: release_one(i, v)

@@ -159,21 +159,8 @@ class WriteBuffer:
 
     # -- draining -----------------------------------------------------------
     def _eligible(self) -> List[WBEntry]:
-        """Entries allowed to issue right now."""
-        entries = self._entries
-        if not entries:
-            return []
-        if self.in_order:
-            # In-order policy: only the head may ever issue, so the
-            # pending/verified list builds reduce to two flag checks.
-            # (With the head issued, or unverified under
-            # ``require_verified``, no younger entry is eligible either
-            # way — matching the general path's answer.)
-            head = entries[0]
-            if head.issued or (self.require_verified and not head.verified):
-                return []
-            return [head]
-        pending = [e for e in entries if not e.issued]
+        """Entries allowed to issue right now (out-of-order policy)."""
+        pending = [e for e in self._entries if not e.issued]
         if not pending:
             return []
         if self.require_verified:

@@ -66,7 +66,7 @@ class SafetyNet:
         self._send = send  # optional: callable(Message) for ckpt traffic
         self._checkpoints: Deque[Checkpoint] = deque()
         self._next_index = 0
-        #: Flight recorder (None unless span_sample > 0; see obs.spans).
+        #: Flight recorder (None unless built with spans=True; see obs.spans).
         self.spans = None
         self._span_track = 0
         self._open_checkpoint()
@@ -94,7 +94,7 @@ class SafetyNet:
         self._next_index = index + 1
         self.stats.incr("sn.checkpoints")
         s = self.spans
-        if s is not None and s.trace_infra:
+        if s is not None:
             # K_CKPT instant: a=checkpoint index, b=live count.
             s.instant(
                 0, self._span_track, K_CKPT, self.scheduler.now,

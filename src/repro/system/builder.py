@@ -104,7 +104,7 @@ class System:
         #: never feeds back into the simulation).
         self.obs_phases = NULL_TIMER
         #: Transaction flight recorder (a SpanRecorder when built with
-        #: ``span_sample > 0``; never feeds back into the run).
+        #: ``spans=True``; never feeds back into the run).
         self.spans: Optional[SpanRecorder] = None
 
     # -- address interleaving ------------------------------------------------
@@ -240,7 +240,7 @@ def build_system(
     programs: Optional[List] = None,
     *,
     obs: bool = False,
-    span_sample: int = 0,
+    spans: bool = False,
 ) -> System:
     """Construct a complete machine.
 
@@ -253,16 +253,13 @@ def build_system(
             ``config.num_nodes``) for custom programs and litmus tests.
         obs: give the machine a phase timer and the kernel and
             checker obs counters.
-        span_sample: flight recorder stride: 0 records nothing, N
-            records every Nth memory operation, and 1 records every
-            operation plus the infrastructure spans that belong to
-            none.
+        spans: give the machine a flight recorder, which records
+            every memory operation and the infrastructure spans that
+            belong to none.
 
     Neither option changes the simulated run: an observed or recorded
     machine produces the same cycles, violations and counters.
     """
-    if span_sample < 0:
-        raise ConfigError(f"span_sample must be >= 0, got {span_sample}")
     system = System(config)
     sched = system.scheduler
     stats = system.stats
@@ -273,8 +270,8 @@ def build_system(
     if obs:
         system.obs_phases = PhaseTimer()
         sched.attach_obs()
-    spans = SpanRecorder(sample=span_sample) if span_sample else None
-    system.spans = spans
+    recorder = SpanRecorder() if spans else None
+    system.spans = recorder
 
     # Memories -----------------------------------------------------------
     system.memories = [
@@ -306,7 +303,7 @@ def build_system(
 
     # Controllers -----------------------------------------------------------
     for n in range(num):
-        l1 = CacheArray(f"l1.{n}", config.l1, config.block_size, stats)
+        l1 = CacheArray(f"l1.{n}", config.l1, stats)
         if config.protocol is ProtocolKind.DIRECTORY:
             cache_ctrl = DirectoryCacheController(
                 n, sched, stats, hooks, config, l1, system.data_network,
@@ -419,24 +416,24 @@ def build_system(
     # Attached last, in a fixed order, so track ids are deterministic
     # across runs; every record site is guarded by a ``spans is None``
     # check, keeping the disabled path to one attribute load.
-    if spans is not None:
-        system.data_network.attach_spans(spans)
+    if recorder is not None:
+        system.data_network.attach_spans(recorder)
         if system.address_network is not None:
-            system.address_network.attach_spans(spans)
+            system.address_network.attach_spans(recorder)
         for cache_ctrl in system.cache_controllers:
-            cache_ctrl.attach_spans(spans)
+            cache_ctrl.attach_spans(recorder)
         for mem_ctrl in system.memory_controllers:
-            mem_ctrl.attach_spans(spans)
+            mem_ctrl.attach_spans(recorder)
         if system.dvmc.coherence_checker is not None:
-            system.dvmc.coherence_checker.attach_spans(spans)
+            system.dvmc.coherence_checker.attach_spans(recorder)
         if system.safetynet is not None:
-            system.safetynet.attach_spans(spans)
+            system.safetynet.attach_spans(recorder)
         for core in system.cores:
-            core.attach_spans(spans)
+            core.attach_spans(recorder)
         for uo in system.dvmc.uo_checkers:
-            uo.attach_spans(spans)
+            uo.attach_spans(recorder)
         for ar in system.dvmc.ar_checkers:
-            ar.attach_spans(spans)
+            ar.attach_spans(recorder)
     return system
 
 

@@ -4,24 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.events import Scheduler
-from repro.common.logical_time import (
-    TIMESTAMP_BITS,
-    TIMESTAMP_MASK,
-    DirectoryLogicalTime,
-    SnoopingLogicalTime,
-    truncate,
-    wraps_before,
-)
-
-
-class TestTruncation:
-    def test_sixteen_bits(self):
-        assert TIMESTAMP_BITS == 16
-        assert truncate(0x1_2345) == 0x2345
-        assert truncate(TIMESTAMP_MASK) == TIMESTAMP_MASK
-
-    def test_wrap_horizon(self):
-        assert wraps_before(100, 10) == 100 + (1 << 16) - 10
+from repro.common.logical_time import DirectoryLogicalTime, SnoopingLogicalTime
 
 
 class TestSnoopingLogicalTime:

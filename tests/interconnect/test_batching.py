@@ -40,21 +40,20 @@ class TestDeliverAt:
         net.deliver_at(5, c)
         sched.run()
         assert got == [a, b, c]  # arrival order preserved
-        assert net.deliveries_coalesced == 2
         assert stats.counter("net.n.coalesced_deliveries") == 2
 
     def test_different_cycles_do_not_coalesce(self):
-        sched, _, net = make_net()
+        sched, stats, net = make_net()
         seen = []
         net.register(1, lambda m: seen.append(sched.now))
         net.deliver_at(5, msg(1))
         net.deliver_at(6, msg(1))
         sched.run()
         assert seen == [5, 6]
-        assert net.deliveries_coalesced == 0
+        assert stats.counter("net.n.coalesced_deliveries") == 0
 
     def test_different_nodes_do_not_coalesce(self):
-        sched, _, net = make_net()
+        sched, stats, net = make_net()
         got = {1: [], 2: []}
         net.register(1, got[1].append)
         net.register(2, got[2].append)
@@ -62,7 +61,7 @@ class TestDeliverAt:
         net.deliver_at(5, msg(2))
         sched.run()
         assert len(got[1]) == 1 and len(got[2]) == 1
-        assert net.deliveries_coalesced == 0
+        assert stats.counter("net.n.coalesced_deliveries") == 0
 
     def test_key_is_released_after_delivery(self):
         """A later send to the same (node, cycle-number) in a fresh
@@ -80,7 +79,7 @@ class TestDeliverAt:
         """A handler sending to its own node for the current cycle must
         not append to the batch being delivered: the message rides a
         fresh batch, delivered after the current one in the same cycle."""
-        sched, _, net = make_net()
+        sched, stats, net = make_net()
         seen = []
 
         def handler(m):
@@ -93,7 +92,19 @@ class TestDeliverAt:
         net.deliver_at(4, msg(1, 0x2))
         sched.run()
         assert seen == [(4, 0x1), (4, 0x2), (4, 0x3)]
-        assert net.deliveries_coalesced == 1
+        assert stats.counter("net.n.coalesced_deliveries") == 1
+
+    def test_snapshot_reads_the_registry_slot(self):
+        sched, stats, net = make_net()
+        net.register(1, lambda m: None)
+        for addr in range(3):
+            net.deliver_at(5, msg(1, addr))
+        sched.run()
+        snap = net.obs_snapshot()
+        assert snap["deliveries_coalesced"] == 2
+        assert snap["deliveries_coalesced"] == stats.counter(
+            "net.n.coalesced_deliveries"
+        )
 
     def test_unregistered_node_raises(self):
         sched, _, net = make_net()
@@ -101,19 +112,6 @@ class TestDeliverAt:
         net.deliver_at(2, msg(9))
         with pytest.raises(SimulationError, match="no handler for node 9"):
             sched.run()
-
-
-class TestBatchHandlers:
-    """A coalesced batch reaches the node's one handler, per message."""
-
-    def test_batch_falls_back_to_plain_handler(self):
-        sched, _, net = make_net()
-        got = []
-        net.register(1, got.append)
-        net.deliver_at(4, msg(1, 0x1))
-        net.deliver_at(4, msg(1, 0x2))
-        sched.run()
-        assert [m.addr for m in got] == [1, 2]
 
 
 class TestTorusBatching:

@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigError, SimulationError
 from repro.common.stats import StatsRegistry
-from repro.common.types import WORDS_PER_BLOCK, CoherenceState
+from repro.common.types import BLOCK_SIZE, WORDS_PER_BLOCK, CoherenceState
 from repro.config import CacheConfig
 from repro.memory.cache import CacheArray
 
 
 def make_cache(size_bytes=1024, assoc=2, ports=2):
     config = CacheConfig(size_bytes=size_bytes, associativity=assoc, ports=ports)
-    return CacheArray("l1.test", config, 64, StatsRegistry())
+    return CacheArray("l1.test", config, StatsRegistry())
 
 
 def block(value=0):
@@ -22,6 +22,14 @@ def same_set_addrs(cache, count):
     """Addresses mapping to set 0, enough to overflow it."""
     stride = cache.num_sets * 64
     return [i * stride for i in range(count)]
+
+
+def test_sets_hold_whole_blocks():
+    config = CacheConfig(size_bytes=1024, associativity=2)
+    assert config.num_sets() == 1024 // (BLOCK_SIZE * 2) == 8
+    assert make_cache().num_sets == 8
+    with pytest.raises(ConfigError, match="BLOCK_SIZE"):
+        CacheConfig(size_bytes=1000, associativity=2).validate()
 
 
 class TestInstallAndLookup:

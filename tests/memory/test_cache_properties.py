@@ -10,7 +10,7 @@ from repro.memory.cache import CacheArray
 
 def fresh_cache():
     return CacheArray(
-        "prop", CacheConfig(size_bytes=2048, associativity=2), 64, StatsRegistry()
+        "prop", CacheConfig(size_bytes=2048, associativity=2), StatsRegistry()
     )
 
 

@@ -58,7 +58,7 @@ class TestParseDetail:
 
 def seeded_recorder():
     """A recorder with two transactions touching the same block."""
-    rec = SpanRecorder(capacity=256, sample=1)
+    rec = SpanRecorder()
     core0 = rec.track("core.0")
     core1 = rec.track("core.1")
     cache = rec.track("cache.0")
@@ -84,7 +84,7 @@ class TestResolveAndSlice:
     def test_slice_finds_remote_same_block_transaction(self):
         rec, tid_a, tid_b = seeded_recorder()
         anchor = resolve_anchor(rec)
-        sliced = causal_slice(rec, anchor, window=1000, block_size=64)
+        sliced = causal_slice(rec, anchor, window=1000)
         assert sliced.anchor.tid == tid_a
         assert tid_b in sliced.related
         # The anchor's own records are on its timeline, not "related".
@@ -99,7 +99,7 @@ class TestResolveAndSlice:
         assert "causally-related transactions" in report
 
     def test_post_mortem_without_violation(self):
-        rec = SpanRecorder(capacity=64)
+        rec = SpanRecorder()
         rec.finalize(10)
         report = post_mortem(rec)
         assert "no violation" in report.lower()
@@ -117,8 +117,12 @@ class TestRecordedReplay:
     def test_replay_records_full_fidelity(self, corpus_replay):
         _, _, recorder = corpus_replay
         assert recorder is not None
-        assert recorder.sample == 1 and recorder.trace_infra
-        assert recorder.stats()["spans_kept"] > 0
+        stats = recorder.stats()
+        assert stats["traced_ops"] > 0 and stats["spans_kept"] > 0
+        # Nothing was refused a trace id or evicted from the ring, and
+        # the op-less infrastructure spans (trace id 0) are there too.
+        assert stats["dropped_ops"] == stats["dropped_spans"] == 0
+        assert any(rec[0] == 0 for rec in recorder.events())
 
     def test_post_mortem_anchors_on_violating_load(self, corpus_replay):
         data, result, recorder = corpus_replay

@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import ConfigError, DeadlockError
 from repro.config import DVMCConfig, ProtocolKind, SystemConfig
 from repro.consistency.models import ConsistencyModel
+from repro.obs.spans import SpanRecorder
 from repro.processor.operations import Load, Store
 from repro.system.builder import build_system
 
@@ -49,13 +50,37 @@ class TestConstruction:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SystemConfig(num_nodes=0).validate()
-        with pytest.raises(ConfigError):
-            SystemConfig(block_size=48).validate()
 
-    def test_negative_span_sample_is_refused(self):
-        config = SystemConfig(num_nodes=2)
-        with pytest.raises(ConfigError, match="span_sample"):
-            build_system(config, programs=[idle_program(), idle_program()], span_sample=-1)
+    @pytest.mark.parametrize("protocol", list(ProtocolKind))
+    def test_spans_wire_one_recorder_everywhere(self, protocol):
+        config = SystemConfig.protected(protocol=protocol, num_nodes=2)
+
+        def record_sites(spans):
+            system = build_system(
+                config, programs=[idle_program(), idle_program()], spans=spans
+            )
+            sites = [
+                system.data_network,
+                *system.cache_controllers,
+                *system.memory_controllers,
+                system.dvmc.coherence_checker,
+                system.safetynet,
+                *system.cores,
+                *system.dvmc.uo_checkers,
+                *system.dvmc.ar_checkers,
+            ]
+            if system.address_network is not None:
+                sites.append(system.address_network)
+            return system, sites
+
+        plain, sites = record_sites(False)
+        assert plain.spans is None
+        assert all(site.spans is None for site in sites)
+        recorded, sites = record_sites(True)
+        assert isinstance(recorded.spans, SpanRecorder)
+        assert all(site.spans is recorded.spans for site in sites)
+        tracks = set(recorded.spans.track_names())
+        assert {"core.0", "core.1", "cache.0", "cache.1", "safetynet"} <= tracks
 
 
 class TestRunLoop:
