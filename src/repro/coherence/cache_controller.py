@@ -139,10 +139,6 @@ class BaseCacheController:
         self._h_writebacks_stale = stats.handle(f"l1.{node}.writebacks_stale")
         self._values = stats.values
         self._hit_latency = config.l1.hit_latency
-        # Interned bound method: _submit/_transaction_done post this once
-        # per request, and a fresh bound-method object per post is pure
-        # allocator traffic on the hot path.
-        self._cb_service = self._service_block
         # Interned hot-path targets (one attribute hop instead of two
         # per request).
         self._post = scheduler.post
@@ -238,7 +234,7 @@ class BaseCacheController:
         if queue is None:
             queue = self._queues[block] = deque()
         queue.append(req)
-        self._post(delay, self._cb_service, (block,))
+        self._post(delay, self._service_block, (block,))
 
     def _service_block(self, block: int) -> None:
         """Complete satisfiable queued requests; start a transaction for
@@ -494,7 +490,7 @@ class BaseCacheController:
             token = self._mshr_tokens.pop(block, 0)
             if token:
                 s.close(token, self.scheduler.now)
-        self.scheduler.post(1, self._cb_service, (block,))
+        self.scheduler.post(1, self._service_block, (block,))
         if self.wakes is not None:
             self.wakes.notify()
 

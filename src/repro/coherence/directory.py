@@ -86,7 +86,6 @@ class DirectoryCacheController(BaseCacheController):
         super().__init__(node, scheduler, stats, hooks, config, l1)
         self.network = network
         self.home_of = home_of
-        self._cb_handle = self._handle
 
     # -- outbound ---------------------------------------------------------
     def _send(
@@ -132,7 +131,7 @@ class DirectoryCacheController(BaseCacheController):
     # -- inbound ------------------------------------------------------------
     def handle_message(self, msg: Message) -> None:
         """Entry point from the node's network dispatcher."""
-        self.scheduler.post(_CTRL_LATENCY, self._cb_handle, (msg,))
+        self.scheduler.post(_CTRL_LATENCY, self._handle, (msg,))
 
     def _handle(self, msg: Message) -> None:
         kind = msg.kind
@@ -324,11 +323,9 @@ class DirectoryMemoryController:
         self._h_putm = stats.handle(f"dir.{node}.putm")
         self._h_unexpected = stats.handle(f"dir.{node}.unexpected")
         self._values = stats.values
-        self._cb_handle = self._handle
         # Interned hot-path targets; every coherence transaction funnels
         # several messages through this controller.
         self._post = scheduler.post
-        self._cb_supply = self._supply
         self._mem_latency = config.memory.latency
         #: Flight recorder (None unless built with spans=True; see obs.spans).
         self.spans = None
@@ -379,7 +376,7 @@ class DirectoryMemoryController:
 
     # -- inbound ------------------------------------------------------------
     def handle_message(self, msg: Message) -> None:
-        self.scheduler.post(_CTRL_LATENCY, self._cb_handle, (msg,))
+        self.scheduler.post(_CTRL_LATENCY, self._handle, (msg,))
 
     def _handle(self, msg: Message) -> None:
         block = msg.addr & ~63  # block_of, inlined
@@ -420,7 +417,7 @@ class DirectoryMemoryController:
         if owner is None:
             data = self.memory.read_block(block)
             self._post(
-                self._mem_latency, self._cb_supply, (requestor, block, data, tid)
+                self._mem_latency, self._supply, (requestor, block, data, tid)
             )
         else:
             self._send(owner, Coh.FWD_GETS, block, req=requestor, tid=tid)
@@ -449,7 +446,7 @@ class DirectoryMemoryController:
         elif owner is None and data_coming:
             data = self.memory.read_block(block)
             self._post(
-                self._mem_latency, self._cb_supply, (requestor, block, data, tid)
+                self._mem_latency, self._supply, (requestor, block, data, tid)
             )
         self._send(
             requestor,

@@ -110,6 +110,11 @@ class SystemHooks:
         request for the block (MET entries are created here)."""
         self.sub_home_request.append(fn)
 
+    def clear(self) -> None:
+        """Drop every subscriber (the System does so when it is freed)."""
+        for name in self.__slots__:
+            getattr(self, name).clear()
+
     # Dispatch -------------------------------------------------------------
     def epoch_begin(
         self,

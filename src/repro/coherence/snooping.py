@@ -84,8 +84,6 @@ class SnoopingCacheController(BaseCacheController):
         #: Set by the system builder; epochs are stamped with snoop
         #: counts so handoffs land exactly at their serialization point.
         self.logical_time = None
-        self._cb_snoop = self._snoop
-        self._cb_data = self._data
 
     def _now(self):
         return None if self.logical_time is None else self.logical_time.now(self.node)
@@ -129,7 +127,7 @@ class SnoopingCacheController(BaseCacheController):
 
     # -- snoops (ordered) ---------------------------------------------------
     def handle_snoop(self, msg: Message) -> None:
-        self.scheduler.post(_CTRL_LATENCY, self._cb_snoop, (msg,))
+        self.scheduler.post(_CTRL_LATENCY, self._snoop, (msg,))
 
     def _snoop(self, msg: Message) -> None:
         block = block_of(msg.addr)
@@ -274,7 +272,7 @@ class SnoopingCacheController(BaseCacheController):
 
     # -- data arrival ---------------------------------------------------------
     def handle_data(self, msg: Message) -> None:
-        self.scheduler.post(_CTRL_LATENCY, self._cb_data, (msg,))
+        self.scheduler.post(_CTRL_LATENCY, self._data, (msg,))
 
     def _data(self, msg: Message) -> None:
         block = block_of(msg.addr)
@@ -309,7 +307,7 @@ class SnoopingCacheController(BaseCacheController):
                 self._other_getm(requestor, block, at_lt, tid=tid)
             else:
                 self._other_gets(requestor, block, at_lt, tid=tid)
-        self.scheduler.post(1, self._cb_service, (block,))
+        self.scheduler.post(1, self._service_block, (block,))
         if self.wakes is not None:
             self.wakes.notify()
 
@@ -327,7 +325,7 @@ class SnoopingCacheController(BaseCacheController):
                 self.hooks.access(self.node, head.addr, False)
                 head.on_done(value)
         self.stats.incr(f"{self._stat}.killed_fills")
-        self.scheduler.post(1, self._cb_service, (block,))
+        self.scheduler.post(1, self._service_block, (block,))
         if self.wakes is not None:
             self.wakes.notify()
 
@@ -362,8 +360,6 @@ class SnoopingMemoryController:
         self._h_getm = stats.handle(f"snoopmem.{node}.getm")
         self._h_putm = stats.handle(f"snoopmem.{node}.putm")
         self._values = stats.values
-        self._cb_snoop = self._snoop
-        self._cb_wb_data = self._wb_data
         #: Flight recorder (None unless built with spans=True; see obs.spans).
         self.spans = None
         self._span_track = 0
@@ -374,7 +370,7 @@ class SnoopingMemoryController:
         self._span_track = spans.track(f"snoopmem.{self.node}")
 
     def handle_snoop(self, msg: Message) -> None:
-        self.scheduler.post(_CTRL_LATENCY, self._cb_snoop, (msg,))
+        self.scheduler.post(_CTRL_LATENCY, self._snoop, (msg,))
 
     def _snoop(self, msg: Message) -> None:
         block = block_of(msg.addr)
@@ -434,7 +430,7 @@ class SnoopingMemoryController:
 
     def handle_data(self, msg: Message) -> None:
         """Writeback data arriving on the torus."""
-        self.scheduler.post(_CTRL_LATENCY, self._cb_wb_data, (msg,))
+        self.scheduler.post(_CTRL_LATENCY, self._wb_data, (msg,))
 
     def _wb_data(self, msg: Message) -> None:
         block = block_of(msg.addr)

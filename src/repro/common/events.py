@@ -293,6 +293,23 @@ class Scheduler:
         """
         return self._ring_count + self._late_count + len(self._overflow)
 
+    def clear(self) -> None:
+        """Drop every queued record, late lanes included, unrun.
+
+        A run that halts at quiescence leaves timers queued (checker
+        sweeps, checkpoint clocks) whose callbacks point back into the
+        machine; the System clears its queue when it is freed so those
+        references go with it.  ``now`` is kept.
+        """
+        for bucket in self._ring:
+            if bucket:
+                del bucket[:]
+        del self._times[:]
+        del self._overflow[:]
+        self._late.clear()
+        self._ring_count = 0
+        self._late_count = 0
+
     def _locate(
         self, limit: Optional[int] = None
     ) -> Optional[Tuple[int, Optional[list]]]:

@@ -53,7 +53,6 @@ class Network(ABC):
         # hop via preresolved handles into the flat values list.
         self._post_at = scheduler.post_at
         self._values = stats.values
-        self._cb_deliver_batch = self._deliver_batch
         #: Flight recorder (:mod:`repro.obs.spans`); ``None`` unless the
         #: machine is built with ``spans=True`` — every record site is
         #: guarded so the disabled path costs one attribute load.
@@ -74,6 +73,13 @@ class Network(ABC):
     def set_fault_hook(self, hook: Optional[FaultHook]) -> None:
         """Install (or clear) the fault-injection hook."""
         self._fault_hook = hook
+
+    def unlink(self) -> None:
+        """Drop every node handler and the fault hook, the network's
+        links back into its machine (the System cuts them when it is
+        freed)."""
+        self._handlers.clear()
+        self._fault_hook = None
 
     @property
     def num_nodes(self) -> int:
@@ -114,7 +120,7 @@ class Network(ABC):
             self._values[self._h_coalesce] += 1
             return
         self._pending_batches[key] = batch = [message]
-        self._post_at(time, self._cb_deliver_batch, (key, batch))
+        self._post_at(time, self._deliver_batch, (key, batch))
 
     def _deliver_batch(self, key: int, batch: List[Message]) -> None:
         del self._pending_batches[key]

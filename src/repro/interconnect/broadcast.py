@@ -58,6 +58,10 @@ class BroadcastTreeNetwork(Network):
         super().register(node, handler)
         self._fanout = None
 
+    def unlink(self) -> None:
+        super().unlink()
+        self._fanout = None
+
     def send(self, message: Message) -> None:
         """Arbitrate at the root, then broadcast in total order."""
         self.messages_sent += 1
@@ -88,9 +92,10 @@ class BroadcastTreeNetwork(Network):
             self.order_count += 1
             deliver = start + ser + link_latency
             s = self.spans
-            if s is not None and msg.tid:
+            if s is not None:
                 # Arbitration + fanout as one span: root serialisation
-                # makes the delivery cycle known at send time.
+                # makes the delivery cycle known at send time.  Op-less
+                # broadcasts (writebacks) carry trace id 0.
                 s.span(
                     msg.tid, self._span_track, K_BCAST,
                     self.scheduler.now, deliver,

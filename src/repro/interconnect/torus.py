@@ -195,7 +195,9 @@ class TorusNetwork(Network):
             dst = msg.dst
             src = msg.src
             now = self.scheduler.now
-            traced = spans is not None and msg.tid != 0
+            # Every flight is recorded; an op-less message (an
+            # Inform-Epoch, a writeback) carries trace id 0.
+            traced = spans is not None
             if dst == src:
                 # Local delivery (e.g. home node is the requestor):
                 # bypasses the network after the switch latency.

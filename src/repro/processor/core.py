@@ -65,7 +65,6 @@ class OpRec:
         "ord_si",
         "wb_veto",
         "blocker",
-        "poll_args",
     )
 
     def __init__(self, seq: int, op) -> None:
@@ -115,11 +114,6 @@ class OpRec:
         #: write-buffer model stores can retire unperformed and their
         #: ``performed`` flag then never flips.
         self.blocker: Optional["OpRec"] = None
-        #: Shared ``(self,)`` args tuple for every post that targets
-        #: this record — poll loops re-post dozens of times per op and
-        #: each fresh tuple is allocator traffic.  (The self-reference
-        #: makes the record a GC cycle; records are few and short-lived.)
-        self.poll_args = (self,)
 
 
 class Core:
@@ -172,31 +166,11 @@ class Core:
         self._rob_size = config.processor.rob_size
         self._fetch_width = max(1, config.processor.fetch_width)
         self._decode_delay_single = 1 + 1 // self._fetch_width
-        # Interned bound methods for hot post sites: the poll loops
-        # (atomics, SC stores, barrier/load perform gates) and the
-        # advance/execute/pump chain re-post these thousands of times
-        # per run, and a fresh bound-method object per post is pure
-        # allocator churn.
         # Interned unbound targets: ``self.scheduler.post`` /
         # ``self.stats.incr`` cost two attribute hops per call; one
         # interned lookup serves the ~14 calls made per simulated event.
         self._post = scheduler.post
         self._incr = stats.incr
-        self._cb_advance = self._advance
-        self._cb_execute = self._execute
-        self._cb_execute_load = self._execute_load
-        self._cb_execute_atomic = self._execute_atomic
-        self._cb_perform_load = self._perform_load_when_final
-        self._cb_perform_forwarded = self._perform_forwarded_when_ready
-        self._cb_sc_issue_store = self._sc_issue_store
-        self._cb_barrier = self._perform_barrier_when_ready
-        self._cb_replay_load = self._replay_load
-        self._cb_verify_trivial = self._verify_trivial
-        self._cb_pump = self._pump
-        self._cb_may_drain = self._may_drain
-        self._cb_decode_one = self._decode_one
-        self._cb_decode_group = self._decode_group
-        self._cb_pump_verify = self._pump_verify
 
         # Wakeup plane: blocked ops park on a WaitSet instead of
         # re-posting fixed-period retries; every transition that can
@@ -210,8 +184,9 @@ class Core:
         self._ws_order = WaitSet(wake_hub)
         #: ROB-space condition: retirement freed entries.
         self._ws_rob = WaitSet(wake_hub)
-        #: Quiescence hook (set by the System): called once when the
-        #: program has finished and every side effect is visible.
+        #: Quiescence hook (set by ``System.run`` for its simulate phase
+        #: only): called once when the program has finished and every
+        #: side effect is visible.
         self.on_quiescent: Optional[Callable[[], None]] = None
         self._q_reported = False
         #: Per-episode VC-backpressure latch: ``vc_full_stalls`` counts
@@ -260,7 +235,7 @@ class Core:
         if self._started:
             return
         self._started = True
-        self._post(0, self._cb_advance, (None,))
+        self._post(0, self._advance, (None,))
 
     def _advance(self, result) -> None:
         """Feed the previous result to the program; decode what it yields."""
@@ -278,7 +253,7 @@ class Core:
             if isinstance(yielded, Compute):
                 self._values[self._h_compute] += yielded.cycles
                 self._post(
-                    max(1, yielded.cycles), self._cb_advance, (None,)
+                    max(1, yielded.cycles), self._advance, (None,)
                 )
             elif isinstance(yielded, SetModel):
                 self._switch_model(yielded.model)
@@ -287,7 +262,7 @@ class Core:
                 if ops:
                     self._decode_group(ops)
                 else:
-                    self._post(1, self._cb_advance, (None,))
+                    self._post(1, self._advance, (None,))
             return
         self._decode_one(yielded)
 
@@ -332,7 +307,7 @@ class Core:
             self.uo.rmo_mode = not model.requires_load_order
             self.uo.flush_clean_entries()
         self._incr(f"{self._stat}.model_switches")
-        self._post(2, self._cb_advance, (None,))
+        self._post(2, self._advance, (None,))
 
     def _adopt_model(self, model: ConsistencyModel) -> None:
         """Take ``model``'s ordering table and the views the pipeline
@@ -364,7 +339,7 @@ class Core:
         """Decode a bare (non-batch) operation — the common shape."""
         if len(self._inflight) >= self._rob_size:
             # ROB full: park until retirement frees entries.
-            self._ws_rob.park(self._cb_decode_one, (op,))
+            self._ws_rob.park(self._decode_one, (op,))
             return
         rec = OpRec(self._next_seq, op)
         self._next_seq += 1
@@ -387,13 +362,13 @@ class Core:
         self._inflight.append(rec)
         self._values[self._ops_h[kind]] += 1
         rec.release = self._release_single
-        self._post(self._decode_delay_single, self._cb_execute, rec.poll_args)
+        self._post(self._decode_delay_single, self._execute, (rec,))
 
     def _decode_group(self, ops: List) -> None:
         """Decode a :class:`Batch`; the program resumes with its results."""
         if len(self._inflight) + len(ops) > self._rob_size:
             # ROB full: park until retirement frees entries.
-            self._ws_rob.park(self._cb_decode_group, (ops,))
+            self._ws_rob.park(self._decode_group, (ops,))
             return
         recs = []
         table = self.table
@@ -430,17 +405,17 @@ class Core:
             results[index] = value
             remaining[0] -= 1
             if remaining[0] == 0:
-                self._post(1, self._cb_advance, (results,))
+                self._post(1, self._advance, (results,))
 
         for index, rec in enumerate(recs):
             rec.release = lambda v, i=index: release_one(i, v)
         decode_delay = 1 + len(ops) // self._fetch_width
         for rec in recs:
-            self._post(decode_delay, self._cb_execute, rec.poll_args)
+            self._post(decode_delay, self._execute, (rec,))
 
     def _release_single(self, value: Optional[int]) -> None:
         """Release path for singleton decode groups."""
-        self._post(1, self._cb_advance, (value,))
+        self._post(1, self._advance, (value,))
 
     # ------------------------------------------------------------------
     # Execute stage
@@ -518,7 +493,7 @@ class Core:
                 # the load performs with its source store, which is
                 # after the barrier; park the perform point until the
                 # ordering table agrees.
-                self._ws_order.park(self._cb_perform_forwarded, rec.poll_args)
+                self._ws_order.park(self._perform_forwarded_when_ready, (rec,))
             self._release(rec, forwarded)
             self._kick()
             return
@@ -531,7 +506,7 @@ class Core:
             if self._can_perform(rec):
                 self._traced_load(rec)
             else:
-                self._ws_order.park(self._cb_execute_load, rec.poll_args)
+                self._ws_order.park(self._execute_load, (rec,))
 
     def _traced_load(self, rec: OpRec) -> None:
         """Issue a load to the cache with the recorder's current-tid
@@ -580,12 +555,12 @@ class Core:
         if (wb is not None and (wb._entries or wb._outstanding)) or (
             self._sc_store_outstanding and self._store_row[si]
         ):
-            self._ws_order.park(self._cb_execute_atomic, rec.poll_args)
+            self._ws_order.park(self._execute_atomic, (rec,))
             return
         blocker = rec.blocker
         if blocker is not None:
             if not blocker.performed:
-                self._ws_order.park(self._cb_execute_atomic, rec.poll_args)
+                self._ws_order.park(self._execute_atomic, (rec,))
                 return
             rec.blocker = None
         seq = rec.seq
@@ -595,7 +570,7 @@ class Core:
             if not other.performed and other.ord_row[si]:
                 if other.op_type is not OpType.STORE:
                     rec.blocker = other
-                self._ws_order.park(self._cb_execute_atomic, rec.poll_args)
+                self._ws_order.park(self._execute_atomic, (rec,))
                 return
         s = self.spans
         if s is not None:
@@ -688,7 +663,7 @@ class Core:
         if rec.performed:
             return
         if not self._can_perform(rec):
-            self._ws_order.park(self._cb_perform_load, rec.poll_args)
+            self._ws_order.park(self._perform_load_when_final, (rec,))
             return
         if rec.squashed:
             rec.squashed = False
@@ -713,7 +688,7 @@ class Core:
 
     def _sc_issue_store(self, rec: OpRec) -> None:
         if self._sc_store_outstanding or not self._can_perform(rec):
-            self._ws_order.park(self._cb_sc_issue_store, rec.poll_args)
+            self._ws_order.park(self._sc_issue_store, (rec,))
             return
         self._sc_store_outstanding = True
 
@@ -780,10 +755,10 @@ class Core:
             self._verify_slot_delay() + self.config.dvmc.verification_stage_latency
         )
         if kind is OpType.LOAD:
-            self._post(delay, self._cb_replay_load, rec.poll_args)
+            self._post(delay, self._replay_load, (rec,))
         else:
             # MEMBAR / STBAR / ATOMIC: no replay action.
-            self._post(delay, self._cb_verify_trivial, rec.poll_args)
+            self._post(delay, self._verify_trivial, (rec,))
         return True
 
     def _schedule_verify_retry(self) -> None:
@@ -792,7 +767,7 @@ class Core:
         (it returns the live waiter instead of stacking another), which
         replaces the old ``_verify_retry_scheduled`` flag and covers
         every parking site the same way."""
-        self._ws_order.park(self._cb_pump_verify, ())
+        self._ws_order.park(self._pump_verify, ())
 
     def _verify_trivial(self, rec: OpRec) -> None:
         rec.verified = True
@@ -856,7 +831,7 @@ class Core:
         if self._can_perform(rec):
             self._mark_performed(rec)
         else:
-            self._ws_order.park(self._cb_barrier, rec.poll_args)
+            self._ws_order.park(self._perform_barrier_when_ready, (rec,))
 
     def _perform_forwarded_when_ready(self, rec: OpRec) -> None:
         """Deferred perform point for a forwarded load in a model
@@ -867,7 +842,7 @@ class Core:
         if self._can_perform(rec):
             self._mark_performed(rec)
         else:
-            self._ws_order.park(self._cb_perform_forwarded, rec.poll_args)
+            self._ws_order.park(self._perform_forwarded_when_ready, (rec,))
 
     def _mark_performed(self, rec: OpRec) -> None:
         if rec.performed:
@@ -990,7 +965,7 @@ class Core:
         delay = self._stall_until - self.scheduler.now
         if delay < 1:
             delay = 1
-        self._post(delay, self._cb_pump)
+        self._post(delay, self._pump)
 
     def _pump(self) -> None:
         self._pump_scheduled = False
@@ -1006,7 +981,7 @@ class Core:
             self._pump_verify()
         wb = self.wb
         if wb is not None and wb._entries:
-            wb.drain(self._cb_may_drain)
+            wb.drain(self._may_drain)
         # Retire stage, inlined (one caller, ~one call per event): pop
         # the head run of completed records off the ROB.
         needs_verify = self.uo is not None

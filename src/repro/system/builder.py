@@ -53,6 +53,19 @@ from repro.workloads.suite import make_program
 CLOCK_PERIOD = 10
 
 
+def _home_map(num_nodes: int) -> Callable[[int], int]:
+    """Home node of a block, block-interleaved across ``num_nodes``.
+
+    A plain function of the node count, so the controllers and the CC
+    checker that call it hold no reference to their System.
+    """
+
+    def home_of(addr: int) -> int:
+        return (block_of(addr) // BLOCK_SIZE) % num_nodes
+
+    return home_of
+
+
 class RunResult:
     """Outcome of a simulation run."""
 
@@ -70,22 +83,27 @@ class RunResult:
 
 
 class System:
-    """A fully wired machine (see :func:`build_system`)."""
+    """A fully wired machine (see :func:`build_system`).
+
+    A component does not outlive its machine.  Nothing inside the
+    machine refers to its System and no part refers to itself, so the
+    few links a running machine needs in both directions (the event
+    queue, the network handler tables, the hook subscriber lists, the
+    write buffers' and AR checkers' links back to their cores) form its
+    only reference cycles.  The System cuts them when it is freed, and
+    reference counting then reclaims every part with it.
+    """
 
     def __init__(self, config: SystemConfig):
         config.validate()
         self.config = config
+        self._home_of = _home_map(config.num_nodes)
         self.scheduler = Scheduler()
         #: Shared wakeup hub: one per system so the end-of-cycle retry
         #: agenda interleaves all cores' blocked checks in one global
         #: (cycle, seq) order — the order a fixed-period poll would
         #: check them in.
         self.wake_hub = WakeHub(self.scheduler)
-        #: Armed only inside :meth:`run`'s simulate phase: lets the last
-        #: core's quiescence halt the kernel at a bucket boundary.  Kept
-        #: off during :meth:`run_cycles` / :meth:`drain_epochs` /
-        #: :meth:`scrub_memory`, which advance time unconditionally.
-        self._halt_on_quiesce = False
         self.stats = StatsRegistry()
         self.hooks = SystemHooks()
         self.cores: List[Core] = []
@@ -107,10 +125,43 @@ class System:
         #: ``spans=True``; never feeds back into the run).
         self.spans: Optional[SpanRecorder] = None
 
+    def __del__(self) -> None:
+        self._unlink()
+
+    def _unlink(self) -> None:
+        """Cut the links a running machine needs in both directions.
+
+        Parts are read with ``getattr``, because a System whose
+        ``__init__`` or :func:`build_system` raised is freed half built.
+        Not ``vars(self)``: inside a collection that would build the
+        instance dict, and every part it names would then wait for the
+        next full collection.
+        """
+        scheduler = getattr(self, "scheduler", None)
+        if scheduler is not None:
+            # A run that halts at quiescence leaves checker sweeps,
+            # checkpoint clocks and injected-membar timers queued.
+            scheduler.clear()
+        hooks = getattr(self, "hooks", None)
+        if hooks is not None:
+            hooks.clear()
+        for name in ("data_network", "address_network"):
+            network = getattr(self, name, None)
+            if network is not None:
+                network.unlink()
+        for core in getattr(self, "cores", ()):
+            wb = core.wb
+            if wb is not None:
+                wb._issue = wb._on_perform = None
+        dvmc = getattr(self, "dvmc", None)
+        if dvmc is not None:
+            for ar in dvmc.ar_checkers:
+                ar.core = ar.table = None
+
     # -- address interleaving ------------------------------------------------
     def home_of(self, addr: int) -> int:
         """Home node of a block (block-interleaved across nodes)."""
-        return (block_of(addr) // BLOCK_SIZE) % self.config.num_nodes
+        return self._home_of(addr)
 
     # -- running ---------------------------------------------------------------
     def run(
@@ -131,8 +182,13 @@ class System:
             # Event-driven stop: each core reports quiescence exactly
             # once (via ``on_quiescent``); the last report halts the
             # kernel at the current bucket boundary, so the stop cycle
-            # does not depend on how blocked checks retry.
-            self._halt_on_quiesce = True
+            # does not depend on how blocked checks retry.  The report
+            # is wired for this phase only: :meth:`run_cycles`,
+            # :meth:`drain_epochs` and :meth:`scrub_memory` advance time
+            # unconditionally, and outside a run no core refers to its
+            # System.
+            for core in self.cores:
+                core.on_quiescent = self._core_quiesced
             try:
                 if all(core.quiescent for core in self.cores):
                     # Already drained before this run (e.g. a second
@@ -141,7 +197,8 @@ class System:
                     self.scheduler.halt()
                 self.scheduler.run(until=max_cycles)
             finally:
-                self._halt_on_quiesce = False
+                for core in self.cores:
+                    core.on_quiescent = None
         with phases.phase("verify"):
             self.dvmc.finalize()
         with phases.phase("drain"):
@@ -159,12 +216,11 @@ class System:
         return result
 
     def _core_quiesced(self) -> None:
-        """A core's program finished and fully drained (fired once per
-        core per run).  When every core is quiescent and a :meth:`run`
-        is in flight, stop the kernel at the current bucket boundary."""
-        if self._halt_on_quiesce and all(
-            core.quiescent for core in self.cores
-        ):
+        """A core's program finished and fully drained (reported once
+        per core, inside :meth:`run`'s simulate phase).  When every
+        core is quiescent, stop the kernel at the current bucket
+        boundary."""
+        if all(core.quiescent for core in self.cores):
             self.scheduler.halt()
 
     def run_cycles(self, cycles: int) -> None:
@@ -264,6 +320,7 @@ def build_system(
     sched = system.scheduler
     stats = system.stats
     hooks = system.hooks
+    home_of = system._home_of
     num = config.num_nodes
 
     # Observability -------------------------------------------------------
@@ -307,7 +364,7 @@ def build_system(
         if config.protocol is ProtocolKind.DIRECTORY:
             cache_ctrl = DirectoryCacheController(
                 n, sched, stats, hooks, config, l1, system.data_network,
-                system.home_of,
+                home_of,
             )
             mem_ctrl = DirectoryMemoryController(
                 n, sched, stats, hooks, config, system.memories[n],
@@ -316,11 +373,11 @@ def build_system(
         else:
             cache_ctrl = SnoopingCacheController(
                 n, sched, stats, hooks, config, l1,
-                system.address_network, system.data_network, system.home_of,
+                system.address_network, system.data_network, home_of,
             )
             mem_ctrl = SnoopingMemoryController(
                 n, sched, stats, hooks, config, system.memories[n],
-                system.data_network, system.home_of,
+                system.data_network, home_of,
             )
         if config.protocol is ProtocolKind.SNOOPING:
             cache_ctrl.logical_time = lt
@@ -335,7 +392,7 @@ def build_system(
             stats,
             config,
             lt,
-            system.home_of,
+            home_of,
             system.memories,
             system.data_network.send,
             violations,
@@ -370,7 +427,6 @@ def build_system(
             program,
             wake_hub=system.wake_hub,
         )
-        core.on_quiescent = system._core_quiesced
         # Wake the core's blocked ordering checks whenever its cache
         # controller completes a transition (install, upgrade,
         # invalidate, writeback, MSHR completion).  Spurious notifies
@@ -406,9 +462,8 @@ def build_system(
             system.dvmc.ar_checkers.append(ar)
         system.cores.append(core)
 
-    hooks.on_invalidation(
-        lambda node, block: system.cores[node].on_invalidation(block)
-    )
+    cores = system.cores
+    hooks.on_invalidation(lambda node, block: cores[node].on_invalidation(block))
     if obs:
         system.dvmc.attach_obs()
 
@@ -444,6 +499,7 @@ def _discard(msg: Message) -> None:
 def _wire_routers(system: System) -> None:
     """Register per-node dispatchers on the network(s)."""
     config = system.config
+    hooks = system.hooks
     directory = config.protocol is ProtocolKind.DIRECTORY
     checker = system.dvmc.coherence_checker
 
@@ -485,8 +541,8 @@ def _wire_routers(system: System) -> None:
         if not directory:
 
             def addr_handler(msg: Message, n=n, cache_ctrl=cache_ctrl, mem_ctrl=mem_ctrl):
-                if system.hooks.sub_snoop_tick:
-                    system.hooks.snoop_tick(n)
+                if hooks.sub_snoop_tick:
+                    hooks.snoop_tick(n)
                 cache_ctrl.handle_snoop(msg)
                 mem_ctrl.handle_snoop(msg)
 

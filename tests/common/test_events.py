@@ -302,7 +302,7 @@ class _HeapScheduler:
     run whose queue drains before ``until`` leaves ``now`` at the last
     event.  ``halt()`` stops the run once the current cycle, late lane
     included, has finished; the flag is consumed even by a run that
-    finds nothing queued.
+    finds nothing queued.  ``clear()`` drops every queued record.
     """
 
     def __init__(self):
@@ -331,6 +331,10 @@ class _HeapScheduler:
 
     def halt(self):
         self._halted = True
+
+    def clear(self):
+        self._heap.clear()
+        self._late.clear()
 
     def run(self, until=None):
         heap = self._heap
@@ -400,3 +404,35 @@ class TestCalendarVsReferenceHeap:
             return trace
 
         assert drive(Scheduler()) == drive(_HeapScheduler())
+
+
+class TestClear:
+    """``clear()`` drops every queued record unrun: ring buckets, the
+    overflow heap and late lanes alike (the System clears its queue
+    when it is freed)."""
+
+    @pytest.mark.parametrize("kernel", [Scheduler, _HeapScheduler])
+    def test_clear_drops_ring_overflow_and_late_records(self, kernel):
+        s = kernel()
+        calls = []
+        s.post(1, calls.append, ("ring",))
+        s.post(DENSE_SPAN + 5, calls.append, ("sparse",))
+        s.post(3 * RING_SIZE, calls.append, ("overflow",))
+        s.post_late(2, calls.append, ("late",))
+        s.post_late(2 * RING_SIZE, calls.append, ("far-late",))
+        assert s.pending() == 7  # five records and two late sentinels
+        s.clear()
+        assert s.pending() == 0
+        s.run()
+        assert calls == []
+        assert s.now == 0
+
+    def test_cleared_scheduler_runs_new_posts(self):
+        s = Scheduler()
+        s.post(3 * RING_SIZE, lambda: None)
+        s.post(5, lambda: None)
+        s.clear()
+        out = []
+        s.post(7, out.append, ("after",))
+        s.run()
+        assert out == ["after"] and s.now == 7

@@ -10,8 +10,8 @@ Two layers of properties:
 * **Whole-system** (parametrized over protocol x model):
   a recorded run leaves no dangling spans, every child span nests
   inside its transaction's root interval, trace ids are unique, every
-  retired op has one, the checkers' op-less spans are kept, and the
-  exported trace is valid Chrome ``trace_event`` JSON.
+  retired op has one, the checkers' op-less spans and network flights
+  are kept, and the exported trace is valid Chrome ``trace_event`` JSON.
 """
 
 import json
@@ -21,15 +21,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.fuzz as fuzz
 from repro.common.types import OpType
 from repro.config import ProtocolKind, SystemConfig
 from repro.consistency.models import ConsistencyModel
+from repro.fuzz import FuzzCase, run_case_recorded
 from repro.obs import spans
 from repro.obs.chrome_trace import to_chrome_trace, write_chrome_trace
 from repro.obs.spans import (
     CAPACITY,
     K_EPOCH,
     K_MET,
+    K_MSG,
     K_MSHR,
     K_WB,
     OP_CLASS,
@@ -230,6 +233,23 @@ class TestSystemSpanWellformedness:
         rec = recorded_run(protocol, ConsistencyModel.TSO)
         kinds = {kind for tid, _track, kind, *_ in rec.events() if tid == 0}
         assert {K_EPOCH, K_MET} <= kinds
+
+    def test_op_less_flights_are_recorded(self):
+        # The CC checker's Inform-Epochs belong to no op (trace id 0);
+        # the data network records their flights with the rest, one
+        # K_MSG span per message sent.
+        with open("tests/corpus/repro-sc-707947-7b56de7e.json") as fh:
+            case = FuzzCase.from_json(json.load(fh)["case"])
+        systems = []
+
+        def build_and_keep(*args, **kwargs):
+            systems.append(build_system(*args, **kwargs))
+            return systems[-1]
+
+        with mock.patch.object(fuzz, "build_system", build_and_keep):
+            _, rec = run_case_recorded(case)
+        flights = sum(1 for _tid, _track, kind, *_ in rec.events() if kind == K_MSG)
+        assert flights == systems[0].data_network.messages_sent == 526
 
     def test_chrome_export_round_trips(self, tmp_path):
         rec = recorded_run(ProtocolKind.DIRECTORY, ConsistencyModel.TSO)
