@@ -12,11 +12,11 @@ one ``"<workload>.<metric>": value`` line per gated count: every
     diff -u benchmarks/ledger_counts.json /tmp/counts.json
 
 Timings, ``self_pct`` and the other ``layer.*.calls`` are left out:
-they move with the host or the interpreter.  With observability off,
-``layer.obs.calls`` is a fixed number per machine built, so an obs call
-added to a per-event path moves it.  A change to the modelled machine
-refreshes the committed file with the first two commands, writing to
-``benchmarks/ledger_counts.json``.
+they move with the host or the interpreter.  With the flight recorder
+off, a run calls nothing in ``src/repro/obs/``, so ``layer.obs.calls``
+is 0 and any obs-layer call added to a run moves it off 0.  A change to
+the modelled machine refreshes the committed file with the first two
+commands, writing to ``benchmarks/ledger_counts.json``.
 """
 
 import argparse

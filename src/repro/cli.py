@@ -55,7 +55,7 @@ def cmd_run(args) -> int:
             for n in range(num)
         ]
     system = build_system(
-        config, workload=args.workload, ops=args.ops, programs=programs, obs=args.obs
+        config, workload=args.workload, ops=args.ops, programs=programs
     )
     result = system.run()
     print(f"cycles:     {result.cycles}")
@@ -70,7 +70,7 @@ def cmd_run(args) -> int:
         os.makedirs(os.path.dirname(os.path.abspath(args.op_trace)), exist_ok=True)
         written = dump_jsonl(trace.events, args.op_trace)
         print(f"op trace written: {args.op_trace} ({written} events)")
-    if args.obs:
+    if args.obs_dir:
         _export_obs(args, config, system)
     return 0 if result.completed and not result.violations else 1
 
@@ -87,8 +87,6 @@ def _export_obs(args, config: SystemConfig, system) -> None:
     snapshot = snapshot_system(system)
     print(format_phase_table(snapshot))
     out_dir = args.obs_dir
-    if not out_dir:
-        return
     os.makedirs(out_dir, exist_ok=True)
     manifest = run_manifest(
         config, workload=args.workload, ops=args.ops, seed=args.seed
@@ -289,22 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one simulation")
+    # No abbreviated long options: the retired ``--obs`` flag must be
+    # rejected, not taken for ``--obs-dir``.
+    run = sub.add_parser("run", help="run one simulation", allow_abbrev=False)
     _add_common(run)
     run.add_argument("--unprotected", action="store_true")
     run.add_argument("--stats", action="store_true", help="dump all counters")
     run.add_argument(
-        "--obs",
-        action="store_true",
-        help="observe the machine: print its phase breakdown (results are "
-        "bit-identical either way)",
-    )
-    run.add_argument(
         "--obs-dir",
         default=None,
         metavar="DIR",
-        help="with --obs, write manifest.json, metrics.prom and "
-        "snapshot.json under DIR",
+        help="print the run's phase breakdown and write manifest.json, "
+        "metrics.prom and snapshot.json under DIR",
     )
     run.add_argument(
         "--op-trace",

@@ -175,6 +175,14 @@ class BaseCacheController:
         self.spans = spans
         self._span_track = spans.track(f"cache.{self.node}")
 
+    def unlink(self) -> None:
+        """Drop the requests a run cut short leaves queued.
+
+        Each request's ``on_done`` calls back into its core, so the
+        System calls this when it is freed.
+        """
+        self._queues.clear()
+
     # ------------------------------------------------------------------
     # Core-facing API
     # ------------------------------------------------------------------

@@ -106,12 +106,6 @@ class Scheduler:
         "_late",
         "_late_count",
         "_halted",
-        "_obs_on",
-        "_obs_buckets",
-        "_obs_bucket_events",
-        "_obs_bucket_max",
-        "_obs_migrations",
-        "_obs_window_jumps",
     )
 
     def __init__(self, ring_size: int = RING_SIZE) -> None:
@@ -142,50 +136,21 @@ class Scheduler:
         #: that are not there.
         self._late_count = 0
         self._halted = False
-        # Observability (repro.obs): disabled by default.  The kernel
-        # keeps raw ints itself — an attribute add per *bucket* (not
-        # per event) when attached, a single false branch otherwise —
-        # and exposes them through :meth:`obs_snapshot`.
-        self._obs_on = False
-        self._obs_buckets = 0
-        self._obs_bucket_events = 0
-        self._obs_bucket_max = 0
-        self._obs_migrations = 0
-        self._obs_window_jumps = 0
 
     @property
     def events_processed(self) -> int:
         """Total callbacks executed so far (for progress/statistics)."""
         return self._events_processed
 
-    def attach_obs(self) -> None:
-        """Start collecting kernel-internal observability counters."""
-        self._obs_on = True
-
     def obs_snapshot(self) -> dict:
-        """Observable interface: queue state + (if attached) drain stats."""
-        snap = {
+        """Observable interface: queue state."""
+        return {
             "events_processed": self._events_processed,
             "pending": self.pending(),
             "now": self.now,
             "ring_size": self._ring_size,
             "overflow_pending": len(self._overflow),
         }
-        if self._obs_on:
-            buckets = self._obs_buckets
-            snap.update(
-                {
-                    "buckets_drained": buckets,
-                    "bucket_events": self._obs_bucket_events,
-                    "bucket_occupancy_mean": (
-                        self._obs_bucket_events / buckets if buckets else 0.0
-                    ),
-                    "bucket_occupancy_max": self._obs_bucket_max,
-                    "overflow_migrations": self._obs_migrations,
-                    "window_jumps": self._obs_window_jumps,
-                }
-            )
-        return snap
 
     def post(self, delay: int, callback: Callable[..., Any], args: tuple = ()) -> None:
         """Schedule ``callback(*args)`` ``delay`` cycles from now.
@@ -393,9 +358,6 @@ class Scheduler:
                 bucket.append(args)
                 count += 1
             self._ring_count += count
-            if self._obs_on:
-                self._obs_window_jumps += 1
-                self._obs_migrations += count
 
     def _splice_late(self, t: int, bucket: list) -> bool:
         """Move cycle ``t``'s late lane into its (exhausted) bucket.
@@ -501,14 +463,6 @@ class Scheduler:
                     self._ring_count -= 1
                     done += 1
                     callback(*args)
-                if self._obs_on:
-                    # Counted after the drain, so same-cycle posts and
-                    # the spliced late lane are in.
-                    records = i >> 1  # two slots per record
-                    self._obs_buckets += 1
-                    self._obs_bucket_events += records
-                    if records > self._obs_bucket_max:
-                        self._obs_bucket_max = records
                 del bucket[:]
         finally:
             self._events_processed += done

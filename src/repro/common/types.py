@@ -73,10 +73,6 @@ class OpType(enum.Enum):
         """True for operations that read or write memory."""
         return self in (OpType.LOAD, OpType.STORE, OpType.ATOMIC)
 
-    def is_barrier(self) -> bool:
-        """True for ordering barriers."""
-        return self in (OpType.MEMBAR, OpType.STBAR)
-
     def access_types(self) -> tuple["OpType", ...]:
         """Primitive access types this operation counts as.
 

@@ -298,6 +298,17 @@ class WakeHub:
         self._cursor = -1
         self._agenda_done = t
 
+    def clear(self) -> None:
+        """Drop every armed waiter, unrun.
+
+        A run cut short (a dropped message hangs it, or ``max_cycles``
+        stops it) can end with waiters armed, and each one's callback
+        points back into its core; the System clears the hub and its
+        cores' wait sets when it is freed so those references go with
+        it.
+        """
+        self._due.clear()
+
     def obs_snapshot(self) -> dict:
         """Observable interface: wakeup counters + wait-duration
         histogram (count/sum/min/max, cycles per episode)."""

@@ -23,11 +23,6 @@ class ConsistencyModel(enum.Enum):
     __hash__ = object.__hash__
 
     @property
-    def allows_store_load_reordering(self) -> bool:
-        """True if a store may perform after a later load (write buffer)."""
-        return self is not ConsistencyModel.SC
-
-    @property
     def allows_store_store_reordering(self) -> bool:
         """True if stores may perform out of program order."""
         return self in (ConsistencyModel.PSO, ConsistencyModel.RMO)

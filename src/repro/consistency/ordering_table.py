@@ -192,28 +192,5 @@ class OrderingTable:
         self.check_plans[(op_type, mask)] = plan
         return plan
 
-    def constrains_any(self, first: OpType) -> bool:
-        """True if type ``first`` is ordered before *some* type."""
-        return any(self.ordered(first, second) for second in self.op_types)
-
-    def predecessors_of(self, second: OpType) -> Tuple[OpType, ...]:
-        """All op types OPx with a constraint OPx < ``second``.
-
-        Used by the Allowable Reordering checker's lost-operation scan:
-        when an operation of type OPy performs, outstanding older
-        operations of any predecessor type indicate a lost operation.
-        """
-        return tuple(
-            first for first in self.op_types if self.ordered(first, second)
-        )
-
-    def as_bool_grid(self) -> Dict[_TableKey, bool]:
-        """Boolean view over access types only (for table printing)."""
-        return {
-            (f, s): self.ordered(f, s)
-            for f in self.op_types
-            for s in self.op_types
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"OrderingTable({self.name!r})"

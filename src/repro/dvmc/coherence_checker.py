@@ -192,13 +192,6 @@ class CoherenceChecker:
         self._h_pq_forced = handles("pq_forced_drains")
         self._h_violations = handles("violations")
         self._values = stats.values
-        # Observability (repro.obs): MET probe and overlap-check
-        # counters, maintained only when attached.  Informs are orders
-        # of magnitude rarer than scheduler events, so a guarded int
-        # add per inform is well inside the obs overhead budget.
-        self._obs_on = False
-        self._obs_met_probes = 0
-        self._obs_overlap_checks = 0
         #: Flight recorder (None unless built with spans=True; see obs.spans).
         self.spans = None
         self._span_cet_tracks: List[int] = []
@@ -211,10 +204,6 @@ class CoherenceChecker:
         num = self.config.num_nodes
         self._span_cet_tracks = [spans.track(f"cc.{n}") for n in range(num)]
         self._span_met_tracks = [spans.track(f"met.{n}") for n in range(num)]
-
-    def attach_obs(self) -> None:
-        """Start recording MET probes and overlap-check counts."""
-        self._obs_on = True
 
     def obs_snapshot(self) -> dict:
         """Observable interface: CET/MET occupancy + checking effort."""
@@ -230,8 +219,6 @@ class CoherenceChecker:
                 for cet in self._cet
             ),
             "met_entries": sum(len(met) for met in self._met),
-            "met_probes": self._obs_met_probes,
-            "epoch_overlap_checks": self._obs_overlap_checks,
             "pq_depth": sum(len(pq) for pq in self._pq),
             "pq_capacity": self.config.dvmc.priority_queue_entries,
             "pq_forced_drains": total(self._h_pq_forced),
@@ -599,8 +586,6 @@ class CoherenceChecker:
                     )
 
     def _met_entry(self, home: int, block: int) -> METEntry:
-        if self._obs_on:
-            self._obs_met_probes += 1
         met = self._met[home]
         entry = met.get(block)
         if entry is None:
@@ -666,8 +651,6 @@ class CoherenceChecker:
             query_end = end if end > begin else begin + 1
         else:
             query_end = None
-        if self._obs_on:
-            self._obs_overlap_checks += 1
         if is_rw:
             limit = (
                 entry.floor_rw

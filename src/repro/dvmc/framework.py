@@ -11,7 +11,7 @@ SN+DVUO / full DVMC, as in Figure 5).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.common.types import ViolationReport
 
@@ -19,9 +19,9 @@ from repro.common.types import ViolationReport
 class ViolationLog:
     """Collects violation reports from every checker.
 
-    ``first`` gives the earliest detection, which the error-injection
-    campaign compares against the SafetyNet recovery window.  An
-    optional callback supports tests that want to react immediately.
+    An optional callback sees each report as it is made; the
+    error-injection campaign uses it to compare the first detection
+    against the SafetyNet recovery window.
     """
 
     def __init__(self, callback=None):
@@ -35,16 +35,6 @@ class ViolationLog:
 
     def __len__(self) -> int:
         return len(self.reports)
-
-    @property
-    def first(self) -> Optional[ViolationReport]:
-        return self.reports[0] if self.reports else None
-
-    def by_checker(self, checker: str) -> List[ViolationReport]:
-        return [r for r in self.reports if r.checker == checker]
-
-    def clear(self) -> None:
-        self.reports.clear()
 
 
 class DVMC:
@@ -61,13 +51,6 @@ class DVMC:
         return bool(
             self.uo_checkers or self.ar_checkers or self.coherence_checker
         )
-
-    def attach_obs(self) -> None:
-        """Turn on internal observability counters in every checker."""
-        for ar in self.ar_checkers:
-            ar.attach_obs()
-        if self.coherence_checker is not None:
-            self.coherence_checker.attach_obs()
 
     def obs_snapshot(self) -> dict:
         """Observable interface: one view over every attached checker.
@@ -101,8 +84,8 @@ class DVMC:
         (not when a batch drain got around to checking it), so sorting
         on (cycle, checker, node, kind, detail) yields bit-identical
         output between eager (per-event) and batch (streaming) checking.
-        The sort is stable and idempotent; ``first`` keeps meaning "the
-        earliest detection" for the recovery-window comparison.
+        The sort is stable and idempotent, and ``reports[0]`` is the
+        earliest detection.
         """
         if self.coherence_checker is not None:
             self.coherence_checker.flush()

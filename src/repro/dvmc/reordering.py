@@ -22,7 +22,7 @@ from repro.common.stats import StatsRegistry
 from repro.common.types import MembarMask, OpType, ViolationReport
 from repro.config import SystemConfig
 from repro.consistency.ordering_table import MASK_BITS, OrderingTable
-from repro.dvmc.streaming import OpLog, RECORD_WIDTH
+from repro.dvmc.streaming import OpLog
 from repro.obs.spans import K_AR, OP_CLASS
 
 #: Integer encodings for the streaming log (see :mod:`repro.dvmc.streaming`);
@@ -79,13 +79,6 @@ class AllowableReorderingChecker:
         #: if PSTATE.MM switches the core's table before the drain.
         self._tables: list = []
         self._table_ids: Dict[int, int] = {}
-        # Observability (repro.obs): raw drain-depth ints, maintained
-        # only when attached — the drain itself is already off the hot
-        # path, so this is a few adds per segment, not per record.
-        self._obs_on = False
-        self._obs_drains = 0
-        self._obs_drained_records = 0
-        self._obs_drain_max = 0
         #: Flight recorder (None unless built with spans=True; see obs.spans).
         self.spans = None
         self._span_track = 0
@@ -96,24 +89,13 @@ class AllowableReorderingChecker:
         self.spans = spans
         self._span_track = spans.track("checker.ar")
 
-    def attach_obs(self) -> None:
-        """Start recording streaming-log drain depths."""
-        self._obs_on = True
-
     def obs_snapshot(self) -> dict:
         """Observable interface: streaming-plane and checker state."""
-        drains = self._obs_drains
         log = {} if self._log is None else self._log.stats()
         return {
             "mode": "eager" if self._log is None else "streaming",
             "log_fill_records": log.get("records", 0),
             "log_capacity_records": log.get("max_capacity_records", 0),
-            "drains": drains,
-            "drained_records": self._obs_drained_records,
-            "drain_depth_mean": (
-                self._obs_drained_records / drains if drains else 0.0
-            ),
-            "drain_depth_max": self._obs_drain_max,
             "outstanding": len(self._outstanding),
             "injected_membars": self.stats.counter(self._stat_injected),
             "violations": self.stats.counter(self._stat_violations),
@@ -149,12 +131,6 @@ class AllowableReorderingChecker:
         buf = log.buf
         end = log.length
         log.length = 0
-        if self._obs_on:
-            records = end // RECORD_WIDTH
-            self._obs_drains += 1
-            self._obs_drained_records += records
-            if records > self._obs_drain_max:
-                self._obs_drain_max = records
         outstanding = self._outstanding
         ops = _OP_FROM_CODE
         masks = _MASK_FROM_BITS

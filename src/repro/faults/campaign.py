@@ -62,14 +62,17 @@ def run_trial(
     injector.arm(FaultPlan(kind, inject_cycle))
 
     detection = {}
+    # Bound here so the callback, which the machine holds, does not
+    # refer to the System.
+    safetynet = system.safetynet
 
     def on_violation(report) -> None:
         if "cycle" in detection:
             return
         detection["cycle"] = report.cycle
         detection["checker"] = report.checker
-        if system.safetynet is not None:
-            detection["recoverable"] = system.safetynet.can_recover(inject_cycle)
+        if safetynet is not None:
+            detection["recoverable"] = safetynet.can_recover(inject_cycle)
 
     system.dvmc.violations._callback = on_violation
     result = system.run(max_cycles=max_cycles, allow_incomplete=True)

@@ -13,6 +13,7 @@ detection flows through the real checker mechanisms.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -73,7 +74,10 @@ class FaultInjector:
     """Arms fault plans against a built system."""
 
     def __init__(self, system, seed: int = 99):
-        self.system = system
+        #: A weak proxy: the machine holds the injector's callbacks (its
+        #: finalizer, queued retries and network hooks), so a strong
+        #: reference back would keep it alive until a cycle collection.
+        self.system = weakref.proxy(system)
         self.rng = SplitRng(seed).child("faults")
         self.records: List[InjectionRecord] = []
         #: Armed plans that have neither landed nor exhausted their

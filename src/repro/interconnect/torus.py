@@ -262,12 +262,3 @@ class TorusNetwork(Network):
             }
         )
         return snap
-
-    def link_utilization(self, elapsed_cycles: int) -> Dict[str, float]:
-        """Per-link bytes/cycle over ``elapsed_cycles`` (Figure 7/8)."""
-        if elapsed_cycles <= 0:
-            return {}
-        out = {}
-        for (a, b), link in self._links.items():
-            out[f"{a}-{b}"] = self.stats.counter(link.key) / elapsed_cycles
-        return out

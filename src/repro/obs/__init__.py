@@ -1,23 +1,20 @@
-"""Observability plane: phase timing, exporters, span recorder.
+"""Observability plane: exporters, span recorder, post-mortems.
 
-Everything here is *off by default* and guaranteed not to change
-simulation results.  Observability belongs to one machine and is set
-when it is built: ``build_system(..., obs=True)`` gives it a phase
-timer and the kernel and checker obs counters, and
-``build_system(..., spans=True)`` a flight recorder.  The plane
-keeps no counter store of its own: a snapshot exports the machine's
-:class:`~repro.common.stats.StatsRegistry` beside each layer's
-``obs_snapshot()`` view.  An observed or recorded run produces
-bit-identical violations and statistics to the same run without
-either (asserted by ``tests/integration/test_obs_identity.py`` and
-``tests/integration/test_spans_identity.py``); the ledger's exact
-``layer.obs.calls`` count gate keeps the disabled path's cost fixed
-per machine built.
+Observability has one switch, set when a machine is built:
+``build_system(..., spans=True)`` gives it a flight recorder, which is
+off by default and never changes the run (asserted by
+``tests/integration/test_spans_identity.py``).  Everything else is
+always on and costs nothing per event: every machine adds the wall
+seconds of its four run phases to ``System.phase_s``, and every layer
+keeps an ``obs_snapshot()`` view of its own state.  The plane keeps no
+counter store of its own: a snapshot exports the machine's
+:class:`~repro.common.stats.StatsRegistry` beside those views
+(``repro.cli run --obs-dir DIR``).  With the recorder off, a run calls
+nothing in this package, which the ledger's exact ``layer.obs.calls``
+count gate (0 on every workload) keeps so.
 
 Layout:
 
-* :mod:`repro.obs.phases` — :class:`PhaseTimer`, attributing wall time
-  to simulate / verify / drain / serialize.
 * :mod:`repro.obs.export` — run snapshots, Prometheus-style text
   exporter (imported on demand; no cost on the simulation path).
 * :mod:`repro.obs.fuzz_counters` — the differential fuzz outcome
@@ -38,9 +35,3 @@ The full memory-operation stream for the offline oracle is recorded
 by :func:`repro.verify.trace.record_program` (``repro.cli run
 --op-trace FILE``), not by this package.
 """
-
-from __future__ import annotations
-
-from repro.obs.phases import NULL_TIMER, NullPhaseTimer, PhaseTimer
-
-__all__ = ["NULL_TIMER", "NullPhaseTimer", "PhaseTimer"]

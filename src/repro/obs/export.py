@@ -2,13 +2,13 @@
 
 ``snapshot_system`` is the pull half of the observability plane: it
 takes the machine's own counters from its
-:class:`~repro.common.stats.StatsRegistry`, the phase timer of a
-machine built with ``obs=True``, and each layer's ``obs_snapshot()``
+:class:`~repro.common.stats.StatsRegistry`, the wall seconds of its
+run phases (``System.phase_s``), and each layer's ``obs_snapshot()``
 (scheduler, networks, cache arrays, DVMC checkers — the RealityCheck
 argument that a verification stack scales only when every layer is
 independently observable).  The result is a plain JSON-safe dict that
-``repro.cli run --obs`` prints as a phase table and ``--obs-dir``
-writes as ``snapshot.json``; taking it never changes the run.
+``repro.cli run --obs-dir DIR`` prints as a phase table and writes as
+``snapshot.json``; taking it never changes the run.
 
 ``to_prometheus`` renders a snapshot in the Prometheus text exposition
 format (every simulation counter as a ``_total`` counter series, the
@@ -46,7 +46,7 @@ def snapshot_system(system) -> Dict[str, Any]:
     layers["wakeups"] = system.wake_hub.obs_snapshot()
     return {
         "counters": system.stats.counters(),
-        "phases": system.obs_phases.snapshot(),
+        "phases": dict(system.phase_s),
         "layers": layers,
     }
 
@@ -108,20 +108,13 @@ def write_prometheus(path: str, snapshot: Dict[str, Any]) -> None:
 
 
 def format_phase_table(snapshot: Dict[str, Any]) -> str:
-    """Human-readable phase breakdown (the CLI's ``--obs`` output)."""
+    """Human-readable phase breakdown (printed by ``run --obs-dir``)."""
     phases = snapshot.get("phases", {})
-    exclusive = phases.get("exclusive", {})
-    inclusive = phases.get("inclusive", {})
-    if not exclusive:
+    if not phases:
         return "(no phase data recorded)"
-    total = sum(exclusive.values()) or 1.0
-    rows = ["phase         exclusive      incl.    share"]
-    for name, secs in sorted(
-        exclusive.items(), key=lambda kv: -kv[1]
-    ):
-        rows.append(
-            f"{name:<12}{secs:>9.4f} s {inclusive.get(name, 0.0):>9.4f} s "
-            f"{secs / total:>7.1%}"
-        )
+    total = sum(phases.values())
+    rows = [f"{'phase':<12}{'seconds':>9}   {'share':>7}"]
+    for name, secs in sorted(phases.items(), key=lambda kv: -kv[1]):
+        rows.append(f"{name:<12}{secs:>9.4f} s {secs / (total or 1.0):>7.1%}")
     rows.append(f"{'total':<12}{total:>9.4f} s")
     return "\n".join(rows)

@@ -148,11 +148,10 @@ def _find_op(
     """Best-effort trace id for a (node, addr, seq, cycle) description.
 
     Exact ``(node, seq)`` wins (when the op class matches, if the
-    detail names one); otherwise the same-node op on the same block
-    with the nearest sequence number (the oracle's per-thread indices
-    and the core's issue sequence can differ by the count of
-    non-memory ops), falling back to the last such op before the
-    violation cycle.
+    detail names one); the oracle's ``T<n>#<i>`` index is the core's
+    ``seq``.  Otherwise the same-node op on the same block with the
+    nearest sequence number wins, falling back to the last such op
+    before the violation cycle.
     """
     ops = recorder.op_spans()
     if seq >= 0 and node >= 0:

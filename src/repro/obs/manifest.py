@@ -4,9 +4,9 @@ A manifest pins down everything needed to reproduce (or refuse to
 compare) a result: the exact configuration (content hash), the seed,
 the code version (git sha and a fingerprint of the ``repro`` source
 tree), and the interpreter/platform that produced it.  ``repro.cli
-run --obs --obs-dir DIR`` writes one beside the run's metrics (CI's
-bench job uploads them), so numbers are never compared across unknown
-code or machines.
+run --obs-dir DIR`` writes one beside the run's metrics (CI's bench
+job uploads them), so numbers are never compared across unknown code
+or machines.
 
 Manifests are deterministic for a fixed (config, seed, code,
 interpreter): no timestamps, no absolute paths — the unit tests assert

@@ -413,6 +413,17 @@ class Core:
         for rec in recs:
             self._post(decode_delay, self._execute, (rec,))
 
+    def unlink(self) -> None:
+        """Drop the ops a run cut short leaves in flight or parked.
+
+        Each holds a callback into this core (``OpRec.release``, a
+        waiter's check), so the System calls this when it is freed.
+        """
+        self._inflight.clear()
+        self._spec_loads.clear()
+        self._ws_order.waiters.clear()
+        self._ws_rob.waiters.clear()
+
     def _release_single(self, value: Optional[int]) -> None:
         """Release path for singleton decode groups."""
         self._post(1, self._advance, (value,))

@@ -12,6 +12,7 @@ main entry point of the library::
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import ConfigError, DeadlockError
@@ -43,7 +44,6 @@ from repro.interconnect.message import Message
 from repro.interconnect.torus import TorusNetwork
 from repro.memory.cache import CacheArray
 from repro.memory.memory import MainMemory
-from repro.obs import NULL_TIMER, PhaseTimer
 from repro.obs.spans import SpanRecorder
 from repro.processor.core import Core
 from repro.recovery.safetynet import SafetyNet
@@ -51,6 +51,9 @@ from repro.workloads.suite import make_program
 
 #: Directory logical-clock period (cycles per logical tick).
 CLOCK_PERIOD = 10
+
+#: The phases of :meth:`System.run`, in the order they run.
+PHASES = ("simulate", "verify", "drain", "serialize")
 
 
 def _home_map(num_nodes: int) -> Callable[[int], int]:
@@ -89,9 +92,11 @@ class System:
     machine refers to its System and no part refers to itself, so the
     few links a running machine needs in both directions (the event
     queue, the network handler tables, the hook subscriber lists, the
-    write buffers' and AR checkers' links back to their cores) form its
-    only reference cycles.  The System cuts them when it is freed, and
-    reference counting then reclaims every part with it.
+    write buffers' and AR checkers' links back to their cores, and the
+    ops a run cut short leaves in flight, queued at the caches or
+    parked on the wake hub) form its only reference cycles.  The System
+    cuts them when it is freed, and reference counting then reclaims
+    every part with it.
     """
 
     def __init__(self, config: SystemConfig):
@@ -118,9 +123,9 @@ class System:
         #: Callbacks invoked after every :meth:`run` returns, e.g. a
         #: fault injector flushing a still-pending plan as not-landed.
         self.finalizers: List[Callable[[], None]] = []
-        #: Phase timer (the null timer unless built with ``obs=True``;
-        #: never feeds back into the simulation).
-        self.obs_phases = NULL_TIMER
+        #: Wall seconds spent in each of :data:`PHASES`, summed over
+        #: every :meth:`run` (never feeds back into the simulation).
+        self.phase_s: Dict[str, float] = dict.fromkeys(PHASES, 0.0)
         #: Transaction flight recorder (a SpanRecorder when built with
         #: ``spans=True``; never feeds back into the run).
         self.spans: Optional[SpanRecorder] = None
@@ -142,6 +147,9 @@ class System:
             # A run that halts at quiescence leaves checker sweeps,
             # checkpoint clocks and injected-membar timers queued.
             scheduler.clear()
+        wake_hub = getattr(self, "wake_hub", None)
+        if wake_hub is not None:
+            wake_hub.clear()
         hooks = getattr(self, "hooks", None)
         if hooks is not None:
             hooks.clear()
@@ -149,7 +157,10 @@ class System:
             network = getattr(self, name, None)
             if network is not None:
                 network.unlink()
+        for controller in getattr(self, "cache_controllers", ()):
+            controller.unlink()
         for core in getattr(self, "cores", ()):
+            core.unlink()
             wb = core.wb
             if wb is not None:
                 wb._issue = wb._on_perform = None
@@ -174,40 +185,49 @@ class System:
         Raises :class:`DeadlockError` if the deadline passes with work
         remaining (unless ``allow_incomplete``, used by fault campaigns
         where injected errors may legitimately hang the machine).
+
+        Adds the wall seconds of each phase to :attr:`phase_s`:
+        ``simulate`` runs the kernel, ``verify`` finalizes the DVMC
+        checkers, ``drain`` calls :attr:`finalizers`, and ``serialize``
+        builds the :class:`RunResult` and closes the flight recorder.
         """
-        phases = self.obs_phases
-        with phases.phase("simulate"):
+        t_simulate = perf_counter()
+        for core in self.cores:
+            core.start()
+        # Event-driven stop: each core reports quiescence exactly once
+        # (via ``on_quiescent``); the last report halts the kernel at
+        # the current bucket boundary, so the stop cycle does not
+        # depend on how blocked checks retry.  The report is wired for
+        # this phase only: :meth:`run_cycles`, :meth:`drain_epochs` and
+        # :meth:`scrub_memory` advance time unconditionally, and
+        # outside a run no core refers to its System.
+        for core in self.cores:
+            core.on_quiescent = self._core_quiesced
+        try:
+            if all(core.quiescent for core in self.cores):
+                # Already drained before this run (e.g. a second
+                # ``run`` call): nothing will re-report, so halt up
+                # front.
+                self.scheduler.halt()
+            self.scheduler.run(until=max_cycles)
+        finally:
             for core in self.cores:
-                core.start()
-            # Event-driven stop: each core reports quiescence exactly
-            # once (via ``on_quiescent``); the last report halts the
-            # kernel at the current bucket boundary, so the stop cycle
-            # does not depend on how blocked checks retry.  The report
-            # is wired for this phase only: :meth:`run_cycles`,
-            # :meth:`drain_epochs` and :meth:`scrub_memory` advance time
-            # unconditionally, and outside a run no core refers to its
-            # System.
-            for core in self.cores:
-                core.on_quiescent = self._core_quiesced
-            try:
-                if all(core.quiescent for core in self.cores):
-                    # Already drained before this run (e.g. a second
-                    # ``run`` call): nothing will re-report, so halt
-                    # up front.
-                    self.scheduler.halt()
-                self.scheduler.run(until=max_cycles)
-            finally:
-                for core in self.cores:
-                    core.on_quiescent = None
-        with phases.phase("verify"):
-            self.dvmc.finalize()
-        with phases.phase("drain"):
-            for finalize in self.finalizers:
-                finalize()
-        with phases.phase("serialize"):
-            result = RunResult(self)
-            if self.spans is not None:
-                self.spans.finalize(self.scheduler.now)
+                core.on_quiescent = None
+        t_verify = perf_counter()
+        self.dvmc.finalize()
+        t_drain = perf_counter()
+        for finalize in self.finalizers:
+            finalize()
+        t_serialize = perf_counter()
+        result = RunResult(self)
+        if self.spans is not None:
+            self.spans.finalize(self.scheduler.now)
+        t_end = perf_counter()
+        phase_s = self.phase_s
+        phase_s["simulate"] += t_verify - t_simulate
+        phase_s["verify"] += t_drain - t_verify
+        phase_s["drain"] += t_serialize - t_drain
+        phase_s["serialize"] += t_end - t_serialize
         if not result.completed and not allow_incomplete:
             stuck = [c.node for c in self.cores if not c.quiescent]
             raise DeadlockError(
@@ -295,7 +315,6 @@ def build_system(
     ops: int = 400,
     programs: Optional[List] = None,
     *,
-    obs: bool = False,
     spans: bool = False,
 ) -> System:
     """Construct a complete machine.
@@ -307,14 +326,11 @@ def build_system(
         ops: approximate per-core operation count for the workload.
         programs: optional explicit per-core generator list (length
             ``config.num_nodes``) for custom programs and litmus tests.
-        obs: give the machine a phase timer and the kernel and
-            checker obs counters.
         spans: give the machine a flight recorder, which records
             every memory operation and the infrastructure spans that
-            belong to none.
-
-    Neither option changes the simulated run: an observed or recorded
-    machine produces the same cycles, violations and counters.
+            belong to none.  It never changes the simulated run: a
+            recorded machine produces the same cycles, violations and
+            counters.
     """
     system = System(config)
     sched = system.scheduler
@@ -324,9 +340,6 @@ def build_system(
     num = config.num_nodes
 
     # Observability -------------------------------------------------------
-    if obs:
-        system.obs_phases = PhaseTimer()
-        sched.attach_obs()
     recorder = SpanRecorder() if spans else None
     system.spans = recorder
 
@@ -464,8 +477,6 @@ def build_system(
 
     cores = system.cores
     hooks.on_invalidation(lambda node, block: cores[node].on_invalidation(block))
-    if obs:
-        system.dvmc.attach_obs()
 
     # Flight recorder --------------------------------------------------
     # Attached last, in a fixed order, so track ids are deterministic

@@ -69,7 +69,7 @@ class TraceEvent:
     """
 
     core: int
-    index: int  # program-order index within the core
+    index: int  # the core's seq for the op (see record_program)
     kind: str  # see ACCESS_KINDS / ORDERING_KINDS
     addr: int
     value: int  # load result / stored value / atomic's new value
@@ -142,9 +142,6 @@ class Trace:
             stream.sort(key=lambda e: e.index)
         return out
 
-    def words_touched(self) -> Set[int]:
-        return {word_of(e.addr) for e in self.events if e.is_access()}
-
     def accesses(self) -> List[TraceEvent]:
         """Only the value-carrying memory accesses, in recorded order."""
         return [e for e in self.events if e.is_access()]
@@ -154,7 +151,12 @@ def record_program(core_id: int, program, trace: Trace):
     """Wrap a workload generator, recording every memory operation.
 
     The wrapper is transparent: it forwards each yielded operation to
-    the core and passes results back, logging (op, result) pairs.
+    the core and passes results back, logging (op, result) pairs.  An
+    event's ``index`` is the ``seq`` the core gives its op, so it
+    counts loads, stores, atomics and fences, not ``Compute`` or
+    ``SetModel``.  A ``setmodel`` event shares the index of the op
+    that follows it; :meth:`Trace.per_core`'s stable sort keeps it
+    first.
     """
     index = 0
     result = None
@@ -209,6 +211,9 @@ def record_program(core_id: int, program, trace: Trace):
                         MODEL_CODES[sub_op.model.name],
                     )
                 )
+                continue
+            else:
+                continue  # Compute: not a memory op
             index += 1
 
 

@@ -204,45 +204,38 @@ JOINS = {
 
 class TestObsCounters:
     def test_obs_counts_records_not_slots(self):
-        """Bucket occupancy counts records (two slots each); records
-        past the window count as migrations of one window jump."""
+        """The snapshot counts records (two ring slots each); records
+        past the window wait in the overflow heap."""
         s = Scheduler()
-        s.attach_obs()
         for _ in range(3):
-            s.post(5, lambda: None)
-        s.post(9, lambda: None)
+            s.post(5, _noop)
+        s.post(9, _noop)
         for offset in (100, 101, 101):
-            s.post(RING_SIZE + offset, lambda: None)
+            s.post(RING_SIZE + offset, _noop)
+        snap = s.obs_snapshot()
+        assert (snap["pending"], snap["overflow_pending"]) == (7, 3)
         s.run(until=RING_SIZE)
         snap = s.obs_snapshot()
-        assert snap["buckets_drained"] == 2
-        assert snap["bucket_events"] == 4
-        assert snap["bucket_occupancy_mean"] == 2.0
-        assert snap["bucket_occupancy_max"] == 3
-        assert snap["overflow_migrations"] == 0
-        assert snap["window_jumps"] == 0
-        assert snap["overflow_pending"] == 3
+        assert snap["events_processed"] == 4
+        assert (snap["pending"], snap["overflow_pending"]) == (3, 3)
+        assert snap["now"] == RING_SIZE
         s.run()
         snap = s.obs_snapshot()
-        assert snap["overflow_migrations"] == 3
-        assert snap["window_jumps"] == 1
         assert snap["events_processed"] == 7
-        assert snap["pending"] == 0
+        assert (snap["pending"], snap["overflow_pending"]) == (0, 0)
+        assert snap["now"] == RING_SIZE + 101
 
     @pytest.mark.parametrize("joins", sorted(JOINS))
-    def test_occupancy_counts_records_that_join_the_drain(self, joins):
-        """Records posted into the cycle being drained run in its
-        bucket, so they count in its occupancy."""
+    def test_processed_counts_records_that_join_the_drain(self, joins):
+        """Records posted into the cycle being drained run in that
+        cycle, and each counts as one processed event."""
         post, events = JOINS[joins]
         s = Scheduler()
-        s.attach_obs()
         s.post(5, post, (s,))
         s.run()
         snap = s.obs_snapshot()
         assert snap["events_processed"] == events
-        assert snap["buckets_drained"] == 1
-        assert snap["bucket_events"] == events
-        assert snap["bucket_occupancy_max"] == events
+        assert (snap["now"], snap["pending"]) == (5, 0)
 
 
 class TestLazyBuckets:

@@ -54,11 +54,6 @@ class TestOpType:
         assert not OpType.MEMBAR.is_memory_access()
         assert not OpType.STBAR.is_memory_access()
 
-    def test_barrier_classification(self):
-        assert OpType.MEMBAR.is_barrier()
-        assert OpType.STBAR.is_barrier()
-        assert not OpType.LOAD.is_barrier()
-
     def test_atomic_expands_to_load_and_store(self):
         assert set(OpType.ATOMIC.access_types()) == {OpType.LOAD, OpType.STORE}
 

@@ -115,25 +115,3 @@ class TestCheckPlans:
         assert compiles == [(L, MembarMask.ALL)]
         assert list(t.check_plans) == [(L, MembarMask.ALL)]
 
-
-class TestIntrospection:
-    def test_predecessors_of(self):
-        t = OrderingTable(
-            "t",
-            {(L, S): True, (S, S): True},
-            op_types=(L, S),
-        )
-        assert set(t.predecessors_of(S)) == {L, S}
-        assert t.predecessors_of(L) == ()
-
-    def test_constrains_any(self):
-        t = OrderingTable("t", {(L, S): True}, op_types=(L, S))
-        assert t.constrains_any(L)
-        assert not t.constrains_any(S)
-
-    def test_bool_grid(self):
-        t = OrderingTable("t", {(L, S): True}, op_types=(L, S))
-        grid = t.as_bool_grid()
-        assert grid[(L, S)] is True
-        assert grid[(S, L)] is False
-        assert len(grid) == 4

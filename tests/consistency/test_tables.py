@@ -103,8 +103,6 @@ class TestModelRelationships:
             assert table_for(model) is not None
 
     def test_model_properties(self):
-        assert not ConsistencyModel.SC.allows_store_load_reordering
-        assert ConsistencyModel.TSO.allows_store_load_reordering
         assert not ConsistencyModel.TSO.allows_store_store_reordering
         assert ConsistencyModel.PSO.allows_store_store_reordering
         assert ConsistencyModel.RMO.allows_load_reordering

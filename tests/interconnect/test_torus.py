@@ -141,15 +141,6 @@ class TestBandwidthAccounting:
         sched.run()
         assert net.total_bytes() == 20  # two hops
 
-    def test_link_utilization(self):
-        sched, _, net = make_torus(8)
-        for n in range(8):
-            net.register(n, lambda m: None)
-        net.send(Message(src=0, dst=1, kind="x", size_bytes=100))
-        sched.run()
-        util = net.link_utilization(elapsed_cycles=100)
-        assert util["0-1"] == 1.0
-
 
 class TestFaultHooks:
     def _wired(self):

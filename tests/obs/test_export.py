@@ -11,10 +11,7 @@ from repro.obs.export import (
 def sample_snapshot():
     return {
         "counters": {"run.events": 100},
-        "phases": {
-            "exclusive": {"simulate": 0.75, "verify": 0.25},
-            "inclusive": {"simulate": 0.75, "verify": 0.25},
-        },
+        "phases": {"simulate": 0.75, "verify": 0.25},
         "layers": {
             "scheduler": {"pending": 3, "note": "strings are skipped"},
             "caches": {"l1.0": {"hit_rate": 0.5}},
@@ -39,7 +36,7 @@ class TestToPrometheus:
 
     def test_numeric_leaves_become_gauges(self):
         text = to_prometheus(sample_snapshot())
-        assert "repro_phases_exclusive_simulate 0.75" in text
+        assert "repro_phases_simulate 0.75" in text
         assert "repro_layers_caches_l1_0_hit_rate 0.5" in text
 
     def test_strings_are_not_exported(self):
@@ -57,12 +54,12 @@ class TestToPrometheus:
 
 class TestPhaseTable:
     def test_lists_phases_by_share(self):
-        table = format_phase_table(sample_snapshot())
-        lines = table.splitlines()
-        assert "simulate" in lines[1]
-        assert "75.0%" in lines[1]
-        assert "verify" in lines[2]
-        assert lines[-1].startswith("total")
+        assert format_phase_table(sample_snapshot()).splitlines() == [
+            "phase         seconds     share",
+            "simulate       0.7500 s   75.0%",
+            "verify         0.2500 s   25.0%",
+            "total          1.0000 s",
+        ]
 
     def test_empty_snapshot_degrades_gracefully(self):
         assert "no phase data" in format_phase_table({})

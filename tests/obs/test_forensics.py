@@ -10,14 +10,18 @@ import json
 
 import pytest
 
-from repro.fuzz import FuzzCase, run_case_recorded
+from repro.config import SystemConfig
+from repro.consistency.models import ConsistencyModel
+from repro.fuzz import FuzzCase, case_programs, run_case_recorded
 from repro.obs.forensics import (
     causal_slice,
     parse_detail,
     post_mortem,
     resolve_anchor,
 )
-from repro.obs.spans import K_MSHR, K_OWNER, SpanRecorder
+from repro.obs.spans import K_MSHR, K_OWNER, OP_CLASS_NAMES, SpanRecorder
+from repro.system.builder import build_system
+from repro.verify import Trace, record_program
 
 ONLINE_DETAIL = (
     "online: [cycle 411] UO violation at node 2: "
@@ -54,6 +58,37 @@ class TestParseDetail:
     def test_garbage_rejected(self):
         assert parse_detail("") is None
         assert parse_detail("no violation here") is None
+
+    def test_oracle_op_names_resolve_to_the_recorded_op(self):
+        """The oracle names an op ``T<core>#<index>``, and the index is
+        the core's ``seq``: on a random case, whose programs interleave
+        ``Compute`` ops, every recorded access resolves to the op of its
+        own class and address."""
+        case = FuzzCase(model="TSO", seed=84186, nodes=4, ops=20)
+        trace = Trace()
+        programs = [
+            record_program(core, program, trace)
+            for core, program in enumerate(case_programs(case))
+        ]
+        # No checkers: the anchor comes from the detail alone.
+        config = SystemConfig.unprotected(
+            model=ConsistencyModel.TSO, num_nodes=case.nodes
+        ).with_seed(case.seed)
+        system = build_system(config, programs=programs, spans=True)
+        system.run()
+        ops = system.spans.op_spans()
+        events = trace.accesses()
+        assert events
+        for event in events:
+            detail = f"T{event.core}#{event.index}:{event.kind}@{event.addr:#x}"
+            anchor = resolve_anchor(system.spans, detail)
+            _, _, _, op_class, addr, seq, node = ops[anchor.tid]
+            assert (OP_CLASS_NAMES[op_class], addr, seq, node) == (
+                event.kind,
+                event.addr,
+                event.index,
+                event.core,
+            )
 
 
 def seeded_recorder():

@@ -1,5 +1,8 @@
 """System construction and top-level run loop."""
 
+import inspect
+import itertools
+
 import pytest
 
 from repro.common.errors import ConfigError, DeadlockError
@@ -7,7 +10,8 @@ from repro.config import DVMCConfig, ProtocolKind, SystemConfig
 from repro.consistency.models import ConsistencyModel
 from repro.obs.spans import SpanRecorder
 from repro.processor.operations import Load, Store
-from repro.system.builder import build_system
+from repro.system import builder
+from repro.system.builder import PHASES, build_system
 
 from tests.conftest import bare_system, idle_program
 
@@ -50,6 +54,16 @@ class TestConstruction:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SystemConfig(num_nodes=0).validate()
+
+    def test_spans_is_the_only_option(self):
+        options = [
+            p.name
+            for p in inspect.signature(build_system).parameters.values()
+            if p.kind is p.KEYWORD_ONLY
+        ]
+        assert options == ["spans"]
+        with pytest.raises(TypeError):
+            build_system(SystemConfig.protected(num_nodes=2), obs=True)
 
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
     def test_spans_wire_one_recorder_everywhere(self, protocol):
@@ -94,6 +108,18 @@ class TestRunLoop:
         assert result.completed
         assert result.cycles > 0
 
+    def test_every_run_adds_to_its_four_phases(self, monkeypatch):
+        # A fake clock reading n**2 on its n-th call: the five reads of
+        # the first run give 0, 1, 4, 9, 16; the second's 25 ... 81.
+        reads = itertools.count()
+        monkeypatch.setattr(builder, "perf_counter", lambda: next(reads) ** 2)
+        system = build_system(SystemConfig.protected(num_nodes=2), ops=20)
+        assert system.phase_s == dict.fromkeys(PHASES, 0.0)
+        system.run()
+        assert system.phase_s == dict(zip(PHASES, (1, 3, 5, 7)))
+        system.run()
+        assert system.phase_s == dict(zip(PHASES, (12, 16, 20, 24)))
+
     def test_deadlock_raises_without_allow_incomplete(self):
         def stuck():
             while True:
@@ -107,6 +133,25 @@ class TestRunLoop:
         system = build_system(config, programs=[spin_forever()])
         with pytest.raises(DeadlockError):
             system.run(max_cycles=20_000)
+
+    def test_deadlocked_run_still_adds_its_phases(self, monkeypatch):
+        # The deadline is checked after the last phase: a run that
+        # raises has verified, drained and been timed like any other.
+        reads = itertools.count()
+        monkeypatch.setattr(builder, "perf_counter", lambda: next(reads) ** 2)
+
+        def spin_forever():
+            while (yield Load(0x2_0000)) != 0xFFFF:
+                pass
+
+        config = SystemConfig.unprotected(num_nodes=1)
+        system = build_system(config, programs=[spin_forever()])
+        scheduler, drained = system.scheduler, []
+        system.finalizers.append(lambda: drained.append(scheduler.now))
+        with pytest.raises(DeadlockError):
+            system.run(max_cycles=20_000)
+        assert drained == [20_000]
+        assert system.phase_s == dict(zip(PHASES, (1, 3, 5, 7)))
 
     def test_allow_incomplete(self):
         def spin_forever():

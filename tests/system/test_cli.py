@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import _config, build_parser, main
 from repro.obs.manifest import code_fingerprint, config_hash
-from repro.system.builder import build_system
+from repro.system.builder import PHASES, build_system
 from repro.verify.trace import load_jsonl
 
 
@@ -35,6 +35,14 @@ class TestParser:
                 build_parser().parse_args([command, flag])
             assert excinfo.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_obs_flag_is_retired(self, capsys):
+        # ``--obs-dir DIR`` alone exports; ``run`` takes no abbreviated
+        # option, so ``--obs`` is not read as ``--obs-dir``.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "--obs"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --obs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["compare", "inject", "campaign"])
     def test_obs_flags_belong_to_run(self, command, capsys):
@@ -94,14 +102,19 @@ class TestRunStats:
 
 
 class TestObsArtifacts:
-    """``run --obs --obs-dir`` writes the artifacts CI's bench job uploads."""
+    """``run --obs-dir DIR`` prints the phase table and writes the
+    artifacts CI's bench job uploads."""
 
     RUN = ["run", "--workload", "jbb", "--nodes", "2", "--ops", "40", "--seed", "3"]
 
     def test_writes_manifest_metrics_and_snapshot(self, tmp_path, capsys):
         out_dir = tmp_path / "obs_artifacts"
-        assert main(self.RUN + ["--obs", "--obs-dir", str(out_dir)]) == 0
-        assert f"obs artifacts written to {out_dir}/" in capsys.readouterr().out
+        assert main(self.RUN + ["--obs-dir", str(out_dir)]) == 0
+        out = capsys.readouterr().out
+        assert f"obs artifacts written to {out_dir}/" in out
+        table = out[out.index("phase ") :].splitlines()
+        assert sorted(line.split()[0] for line in table[1:5]) == sorted(PHASES)
+        assert table[5].startswith("total")
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "manifest.json",
             "metrics.prom",
@@ -120,6 +133,8 @@ class TestObsArtifacts:
 
         snapshot = json.loads((out_dir / "snapshot.json").read_text())
         assert sorted(snapshot) == ["counters", "layers", "phases"]
+        assert sorted(snapshot["phases"]) == sorted(PHASES)
+        assert all(secs >= 0 for secs in snapshot["phases"].values())
         assert snapshot["counters"]["l1.0.accesses"] > 0
         assert snapshot["layers"]["scheduler"]["events_processed"] > 0
         prom = (out_dir / "metrics.prom").read_text()
@@ -127,11 +142,15 @@ class TestObsArtifacts:
         accesses = snapshot["counters"]["l1.0.accesses"]
         assert f"\nrepro_l1_0_accesses_total {accesses}\n" in prom
 
-    def test_obs_dir_without_obs_writes_nothing(self, tmp_path, capsys):
-        out_dir = tmp_path / "obs_artifacts"
-        assert main(self.RUN + ["--obs-dir", str(out_dir)]) == 0
-        assert "obs artifacts" not in capsys.readouterr().out
-        assert not out_dir.exists()
+    def test_run_without_obs_dir_exports_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.RUN) == 0
+        plain = capsys.readouterr().out
+        assert "phase " not in plain and "obs artifacts" not in plain
+        assert list(tmp_path.iterdir()) == []
+        # The export only appends to what a plain run prints.
+        assert main(self.RUN + ["--obs-dir", "obs"]) == 0
+        assert capsys.readouterr().out.startswith(plain)
 
 
 class TestOpTrace:
