@@ -2,8 +2,8 @@
 
 A blocked operation used to re-post itself every ``RETRY_PERIOD``
 cycles and re-evaluate its gate — cheap per event, but ~44% of all
-simulated events were such polls (EXPERIMENTS.md, "Kernel
-architecture").  This module replaces the re-posts with parking: a
+simulated events were such polls (EXPERIMENTS.md, "Wake-on-change
+kernel").  This module replaces the re-posts with parking: a
 blocked op parks a :class:`Waiter` on the :class:`WaitSet` guarding
 its condition, and every hardware transition that can flip the
 condition calls :meth:`WaitSet.notify`.  The waiter is then re-checked
@@ -19,10 +19,10 @@ The test suite checks this against a polling reference hub
 the next grid point, notifies are ignored).  The identity rests on
 four rules:
 
-* **End-of-cycle agendas.**  Re-checks never run mid-bucket.  They run
+* **End-of-cycle agendas.**  Re-checks never run mid-cycle.  They run
   in the cycle's *late lane* (:meth:`Scheduler.post_late`), after every
   normally-posted event of the cycle, so a check's outcome depends
-  only on the cycle's final state — not on where in the bucket the
+  only on the cycle's final state — not on where in the cycle the
   notifying transition happened to sit.  A poller driven by the same
   agendas therefore evaluates the same predicates at the same
   simulated instants.

@@ -195,21 +195,8 @@ class Core:
         #: architectural and mode-identical.
         self._vc_stall_flag = False
 
-        uses_wb = self.model is not ConsistencyModel.SC
-        self.wb: Optional[WriteBuffer] = (
-            WriteBuffer(
-                node,
-                config.processor.write_buffer_size,
-                in_order=not self.model.allows_store_store_reordering,
-                stats=stats,
-                issue=self._issue_store,
-                on_perform=self._store_performed,
-            )
-            if uses_wb
-            else None
-        )
-        if self.wb is not None:
-            self.wb.wakes = self._ws_order
+        self.wb: Optional[WriteBuffer] = None
+        self._set_write_buffer(self.model)
         # Verify-stage slot accounting (verification_width per cycle).
         self._verify_cycle = -1
         self._verify_used = 0
@@ -286,28 +273,35 @@ class Core:
             self._post(4, self._switch_model, (model,))
             return
         self._adopt_model(model)
-        if model is ConsistencyModel.SC:
-            self.wb = None
-        else:
-            if self.wb is None:
-                self.wb = WriteBuffer(
-                    self.node,
-                    self.config.processor.write_buffer_size,
-                    in_order=not model.allows_store_store_reordering,
-                    stats=self.stats,
-                    issue=self._issue_store,
-                    on_perform=self._store_performed,
-                    require_verified=self.uo is not None,
-                )
-                self.wb.wakes = self._ws_order
-            else:
-                self.wb.in_order = not model.allows_store_store_reordering
-                self.wb.max_outstanding = 1 if self.wb.in_order else 4
+        self._set_write_buffer(model)
         if self.uo is not None:
             self.uo.rmo_mode = not model.requires_load_order
             self.uo.flush_clean_entries()
         self._incr(f"{self._stat}.model_switches")
         self._post(2, self._advance, (None,))
+
+    def _set_write_buffer(self, model: ConsistencyModel) -> None:
+        """Give the core the write buffer ``model`` drains stores
+        through: none under SC, else the in-order (TSO) or out-of-order
+        (PSO/RMO) policy.  An existing buffer (empty at a model switch)
+        is kept and takes the new policy."""
+        if model is ConsistencyModel.SC:
+            self.wb = None
+            return
+        in_order = not model.allows_store_store_reordering
+        if self.wb is not None:
+            self.wb.adopt_order(in_order)
+            return
+        self.wb = WriteBuffer(
+            self.node,
+            self.config.processor.write_buffer_size,
+            in_order=in_order,
+            stats=self.stats,
+            issue=self._issue_store,
+            on_perform=self._store_performed,
+            require_verified=self.uo is not None,
+        )
+        self.wb.wakes = self._ws_order
 
     def _adopt_model(self, model: ConsistencyModel) -> None:
         """Take ``model``'s ordering table and the views the pipeline
@@ -504,7 +498,7 @@ class Core:
                 # the load performs with its source store, which is
                 # after the barrier; park the perform point until the
                 # ordering table agrees.
-                self._ws_order.park(self._perform_forwarded_when_ready, (rec,))
+                self._ws_order.park(self._perform_when_ready, (rec,))
             self._release(rec, forwarded)
             self._kick()
             return
@@ -664,7 +658,7 @@ class Core:
         if kind is OpType.LOAD and self._load_ordered:
             self._perform_load_when_final(rec)
         elif kind in (OpType.MEMBAR, OpType.STBAR):
-            self._perform_barrier_when_ready(rec)
+            self._perform_when_ready(rec)
 
     def _perform_load_when_final(self, rec: OpRec) -> None:
         """Baseline perform point for load-ordered loads: wait out the
@@ -787,7 +781,7 @@ class Core:
             # not at execute (replays of older loads come first).
             self.uo.note_atomic(rec.addr, rec.value)
         elif rec.op_type in (OpType.MEMBAR, OpType.STBAR):
-            self._perform_barrier_when_ready(rec)
+            self._perform_when_ready(rec)
         self._kick()
 
     def _replay_load(self, rec: OpRec) -> None:
@@ -836,24 +830,17 @@ class Core:
     # ------------------------------------------------------------------
     # Perform bookkeeping
     # ------------------------------------------------------------------
-    def _perform_barrier_when_ready(self, rec: OpRec) -> None:
+    def _perform_when_ready(self, rec: OpRec) -> None:
+        """Deferred perform point of a barrier, or of a forwarded load in
+        a model without load ordering (its value was released at
+        execute): mark ``rec`` performed once the ordering table lets
+        it, parking until then."""
         if rec.performed:
             return
         if self._can_perform(rec):
             self._mark_performed(rec)
         else:
-            self._ws_order.park(self._perform_barrier_when_ready, (rec,))
-
-    def _perform_forwarded_when_ready(self, rec: OpRec) -> None:
-        """Deferred perform point for a forwarded load in a model
-        without load ordering: the value was released at execute, the
-        perform marking waits out older barriers."""
-        if rec.performed:
-            return
-        if self._can_perform(rec):
-            self._mark_performed(rec)
-        else:
-            self._ws_order.park(self._perform_forwarded_when_ready, (rec,))
+            self._ws_order.park(self._perform_when_ready, (rec,))
 
     def _mark_performed(self, rec: OpRec) -> None:
         if rec.performed:

@@ -22,6 +22,10 @@ from typing import Callable, Dict, List, Optional
 from repro.common.stats import StatsRegistry
 from repro.common.types import block_of, word_of
 
+#: Store transactions the out-of-order policy keeps issued at once; the
+#: in-order policy issues one at a time.
+OUT_OF_ORDER_OUTSTANDING = 4
+
 
 class WBEntry:
     """One buffered store."""
@@ -62,8 +66,8 @@ class WriteBuffer:
     Args:
         node: owning core id (stats only).
         capacity: number of entries (paper Table 7: 8).
-        in_order: True for the TSO policy, False for PSO/RMO.
-        max_outstanding: cap on concurrently issued store transactions.
+        in_order: True for the TSO policy, False for PSO/RMO (see
+            :meth:`adopt_order`).
     """
 
     def __init__(
@@ -74,16 +78,14 @@ class WriteBuffer:
         stats: StatsRegistry,
         issue: Callable[[WBEntry, Callable[[int], None]], None],
         on_perform: Callable[["WBEntry", int], None],
-        max_outstanding: int = 4,
         require_verified: bool = False,
     ):
         self.node = node
         self.capacity = capacity
-        self.in_order = in_order
+        self.adopt_order(in_order)
         self.stats = stats
         self._issue = issue
         self._on_perform = on_perform
-        self.max_outstanding = 1 if in_order else max_outstanding
         self.require_verified = require_verified
         #: WaitSet notified when a store performs (set by the owning
         #: core): frees buffer space and clears drain/ordering gates.
@@ -99,6 +101,13 @@ class WriteBuffer:
         self._h_issues = stats.handle(f"wb.{node}.issues")
         self._h_performs = stats.handle(f"wb.{node}.performs")
         self._values = stats.values
+
+    def adopt_order(self, in_order: bool) -> None:
+        """Take the in-order (TSO) or out-of-order (PSO/RMO) drain
+        policy, with its cap on concurrently issued stores."""
+        self.in_order = in_order
+        #: Cap on concurrently issued store transactions.
+        self.max_outstanding = 1 if in_order else OUT_OF_ORDER_OUTSTANDING
 
     # -- occupancy ---------------------------------------------------------
     def __len__(self) -> int:

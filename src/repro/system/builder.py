@@ -196,7 +196,7 @@ class System:
             core.start()
         # Event-driven stop: each core reports quiescence exactly once
         # (via ``on_quiescent``); the last report halts the kernel at
-        # the current bucket boundary, so the stop cycle does not
+        # the end of the current cycle, so the stop cycle does not
         # depend on how blocked checks retry.  The report is wired for
         # this phase only: :meth:`run_cycles`, :meth:`drain_epochs` and
         # :meth:`scrub_memory` advance time unconditionally, and
@@ -238,8 +238,8 @@ class System:
     def _core_quiesced(self) -> None:
         """A core's program finished and fully drained (reported once
         per core, inside :meth:`run`'s simulate phase).  When every
-        core is quiescent, stop the kernel at the current bucket
-        boundary."""
+        core is quiescent, stop the kernel at the end of the current
+        cycle."""
         if all(core.quiescent for core in self.cores):
             self.scheduler.halt()
 

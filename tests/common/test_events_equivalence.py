@@ -1,48 +1,36 @@
-"""Randomized calendar-kernel vs heap-reference equivalence (hypothesis).
+"""Randomized kernel vs heap-reference equivalence (hypothesis).
 
-The calendar-queue :class:`Scheduler` (two-slot bucket records, batch
-advance, inline drain cursor, lazy ring) must be observationally
-identical to ``_HeapScheduler``, the plain ``(time, seq)`` binary heap
-with late lanes in ``test_events.py``: same callback order, same
-``now`` labels, same ``pending()`` at every event, same
-``events_processed``.  Property-based scenarios mix the whole
-scheduling surface — ``post``/``post_at``, ``post_late`` (late lanes),
-records re-posted and chained from inside callbacks, ``halt()`` from
-inside a record, bounded runs, and sparse far-future delays that force
-overflow-heap migration (into never-allocated ring buckets) and
-quiescent window jumps.
+The kernel's :class:`Scheduler` must be observationally identical to
+``_HeapScheduler``, the plain ``(time, seq)`` binary heap with late
+lanes in ``test_events.py``: same callback order, same ``now`` labels,
+same ``pending()`` at every event, same ``events_processed``.
+Property-based scenarios mix the whole scheduling surface —
+``post``/``post_at``, ``post_late`` (late lanes), records re-posted and
+chained from inside callbacks, ``halt()`` from inside a record, records
+that raise (after which ``run()`` is re-entered), bounded runs, and
+far-future delays across long quiescent spans.
 
 Extends the hand-rolled harness in ``test_events.py``
-(``TestCalendarVsReferenceHeap``); here hypothesis owns scenario
+(``TestKernelVsReferenceHeap``); here hypothesis owns scenario
 generation and shrinking.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.common.events import DENSE_SPAN, RING_SIZE, Scheduler
+from repro.common.events import Scheduler
 from tests.common.test_events import _HeapScheduler
 
-#: Delay palette: same-cycle, dense-probe range, just past DENSE_SPAN
-#: (sparse ``_times``-heap records), and past the ring window (overflow
-#: heap + window jumps).
-DELAYS = [0, 1, 2, 3, 7, 17, DENSE_SPAN + 1, 100, RING_SIZE + 5, 2 * RING_SIZE + 13, 4096]
+#: Delay palette: same-cycle, a few cycles, tens of cycles, and far
+#: delays (timers and heartbeats) thousands of cycles out.
+DELAYS = [0, 1, 2, 3, 7, 17, 65, 100, 2053, 4109, 4096]
 
-#: Delays past the ring at offsets the dense palette never reaches, so
-#: their records migrate out of the overflow heap into ring slots that
-#: no earlier record touched (still-unallocated buckets).
-FAR_DELAYS = [
-    RING_SIZE + 700,
-    2 * RING_SIZE + 1500,
-    3 * RING_SIZE + 333,
-    5 * RING_SIZE + 1,
-]
+#: Far delays only, at offsets the near palette never reaches.
+FAR_DELAYS = [2748, 5596, 6477, 10241]
 
-#: Delays at the batch-advance threshold and beyond, none nearer: a
-#: record posted DENSE_SPAN out must be found by the dense walk, and one
-#: posted further out only through the ``_times`` heap, since nothing
-#: earlier pulls the walk within reach of it.
-EDGE_DELAYS = [DENSE_SPAN, DENSE_SPAN + 1, DENSE_SPAN + 2, 3 * DENSE_SPAN]
+#: Sparse delays, none nearer than 64 cycles: a program's own records
+#: sit in a few cycles with quiescent spans between them.
+EDGE_DELAYS = [64, 65, 66, 192]
 
 
 def _actions(delays):
@@ -53,6 +41,7 @@ def _actions(delays):
         st.tuples(st.just("post"), delay, chain),
         st.tuples(st.just("post_at"), delay, chain),
         st.tuples(st.just("post_late"), delay, chain),
+        st.tuples(st.just("raise"), delay),
     )
 
 
@@ -61,6 +50,10 @@ _far_programs = st.lists(
     _actions(FAR_DELAYS + DELAYS[:4]), min_size=1, max_size=40
 )
 _edge_programs = st.lists(_actions(EDGE_DELAYS), min_size=1, max_size=12)
+
+
+class _Raised(Exception):
+    """Raised by a program's ``raise`` record."""
 
 
 def _drive(sched, program, untils=(), halts=()):
@@ -74,14 +67,17 @@ def _drive(sched, program, untils=(), halts=()):
     cycles, so late lanes get records from inside the cycle they run
     in, both before and after the splice.  The records whose run index
     (0 = the first record to run) is in ``halts`` call ``halt()`` and
-    post one zero-delay record to each lane.  After the bounded
-    ``untils`` runs, ``run()`` is re-entered until the queue is empty
-    or a run makes no progress; ``now`` and ``pending()`` are logged
-    at every return.
+    post one zero-delay record to each lane.  A ``raise`` record raises
+    the first time it is called (a correct kernel calls it only once);
+    the error is logged and ``run()`` re-entered with the same bound.
+    After the bounded ``untils`` runs, ``run()`` is re-entered until the
+    queue is empty or a run makes no progress; ``now`` and ``pending()``
+    are logged at every return.
     """
     trace = []
     tags = iter(range(10**9))
     runs = iter(range(10**9))
+    raised = set()
 
     def note(tag):
         trace.append((sched.now, tag, sched.pending()))
@@ -111,6 +107,20 @@ def _drive(sched, program, untils=(), halts=()):
             else:
                 sched.post(delay, fire_post, nxt)
 
+    def fire_raise(tag):
+        log(tag)
+        if tag not in raised:
+            raised.add(tag)
+            raise _Raised(tag)
+
+    def run(until=None):
+        while True:
+            try:
+                sched.run(until=until)
+                return
+            except _Raised as error:
+                trace.append(("raised", sched.now, error.args[0], sched.pending()))
+
     for op in program:
         kind = op[0]
         if kind == "respawn":
@@ -119,15 +129,17 @@ def _drive(sched, program, untils=(), halts=()):
             sched.post(op[1], fire_post, (next(tags), op[2]))
         elif kind == "post_at":
             sched.post_at(sched.now + op[1], fire_post, (next(tags), op[2]))
-        else:  # post_late
+        elif kind == "post_late":
             sched.post_late(op[1], fire_post, (next(tags), op[2]))
+        else:  # raise
+            sched.post(op[1], fire_raise, (next(tags),))
 
     for until in untils:
-        sched.run(until=until)
+        run(until)
         trace.append(("now", sched.now, sched.pending()))
     while True:
         before = sched.events_processed
-        sched.run()
+        run()
         trace.append(("now", sched.now, sched.pending()))
         if not sched.pending() or sched.events_processed == before:
             break  # drained, or stuck with records that never run
@@ -136,28 +148,30 @@ def _drive(sched, program, untils=(), halts=()):
 
 @settings(deadline=None, max_examples=60)
 @given(program=_programs)
-def test_calendar_matches_heap(program):
+@example(program=[("post", 5, 0), ("raise", 5), ("post", 5, 0)])
+@example(program=[("post_late", 5, 0), ("raise", 5)])
+def test_kernel_matches_heap(program):
+    """The two explicit examples are a record raising in the middle of
+    its cycle (the records after it must run once, the ones before it
+    not again) and a raising record that is its cycle's last normal
+    record (the cycle's late lane must still run)."""
     assert _drive(Scheduler(), program) == _drive(_HeapScheduler(), program)
 
 
 @settings(deadline=None, max_examples=60)
-@given(program=_far_programs, ring_size=st.sampled_from([64, 256, RING_SIZE]))
-def test_calendar_matches_heap_far_delays(program, ring_size):
-    """Delays of one to several ring periods: records reach the ring
-    only by overflow migration, mostly into never-allocated buckets
-    (on the small rings every far delay spans many window jumps)."""
-    assert _drive(Scheduler(ring_size), program) == _drive(
-        _HeapScheduler(), program
-    )
+@given(program=_far_programs)
+def test_kernel_matches_heap_far_delays(program):
+    """Delays of thousands of cycles mixed with same-cycle and
+    next-cycle ones: long quiescent spans between bursts."""
+    assert _drive(Scheduler(), program) == _drive(_HeapScheduler(), program)
 
 
 @settings(deadline=None, max_examples=40)
 @given(program=_edge_programs)
-@example(program=[("post", DENSE_SPAN + 1, 0)])
-def test_calendar_matches_heap_edge_delays(program):
-    """Dense/sparse boundary: programs whose own records all lie at or
-    past DENSE_SPAN, so the drain cursor must switch from the bounded
-    walk to the ``_times`` heap at exactly the right delay."""
+@example(program=[("post", 65, 0)])
+def test_kernel_matches_heap_edge_delays(program):
+    """Sparse programs: every record the program posts lies at least
+    64 cycles out, so the queue runs a few isolated cycles."""
     assert _drive(Scheduler(), program) == _drive(_HeapScheduler(), program)
 
 
@@ -165,16 +179,16 @@ def test_calendar_matches_heap_edge_delays(program):
 @given(
     program=_programs,
     untils=st.lists(
-        st.sampled_from([10, DENSE_SPAN, RING_SIZE, 2 * RING_SIZE + 31, 5000]),
+        st.sampled_from([10, 64, 2048, 4127, 5000]),
         min_size=1,
         max_size=3,
     ),
 )
-def test_calendar_matches_heap_with_until(program, untils):
-    """Bounded runs: ``until`` cuts mid-window and mid-overflow (or
-    past the last event, leaving ``now`` there); the final unbounded
-    run drains the rest.  ``until`` values must be non-decreasing to
-    be meaningful on both kernels."""
+def test_kernel_matches_heap_with_until(program, untils):
+    """Bounded runs: ``until`` cuts between populated cycles (or past
+    the last event, leaving ``now`` there); the final unbounded run
+    drains the rest.  ``until`` values must be non-decreasing to be
+    meaningful on both kernels."""
     untils = sorted(untils)
     assert _drive(Scheduler(), program, untils) == _drive(
         _HeapScheduler(), program, untils
@@ -186,7 +200,7 @@ def test_calendar_matches_heap_with_until(program, untils):
     program=_programs,
     halts=st.sets(st.integers(0, 40), min_size=1, max_size=3),
 )
-def test_calendar_matches_heap_with_halt(program, halts):
+def test_kernel_matches_heap_with_halt(program, halts):
     """``halt()`` from inside a record — normal or late, first in its
     cycle or not — stops both kernels after the same cycle, with the
     same ``now`` and ``pending()``; re-entering ``run()`` resumes
@@ -199,15 +213,14 @@ def test_calendar_matches_heap_with_halt(program, halts):
 @settings(deadline=None, max_examples=30)
 @given(
     delays=st.lists(
-        st.sampled_from([RING_SIZE + 1, 3 * RING_SIZE, 5 * RING_SIZE + 77, 4096, 65536]),
+        st.sampled_from([2049, 6144, 10317, 4096, 65536]),
         min_size=1,
         max_size=12,
     ),
 )
-def test_sparse_window_jumps_match(delays):
-    """Far-future-only scenarios: every event migrates through the
-    overflow heap and the drain cursor batch-advances across long
-    quiescent spans."""
+def test_far_only_programs_match(delays):
+    """Far-future-only scenarios: every cycle that runs lies thousands
+    of cycles past the one before it."""
 
     def drive(sched):
         trace = []

@@ -6,13 +6,10 @@ from repro.common.events import Scheduler
 from repro.common.waitsets import RETRY_PERIOD, WaitSet, WakeHub
 from tests.common.test_events import _HeapScheduler
 
-#: Kernels the wait plane must behave identically on: the calendar
-#: queue, the same queue on an 8-slot ring (agenda cycles and their
-#: late-lane sentinels keep landing past the window, in the overflow
-#: heap), and the heap reference kernel the equivalence tests use.
+#: Kernels the wait plane must behave identically on: the kernel and
+#: the heap reference kernel the equivalence tests use.
 KERNELS = {
-    "flat": Scheduler,
-    "ring8": lambda: Scheduler(8),
+    "kernel": Scheduler,
     "heap": _HeapScheduler,
 }
 
@@ -268,7 +265,7 @@ class TestWakeups:
 
 
 class TestHalt:
-    def test_halt_stops_at_bucket_boundary(self, sched):
+    def test_halt_stops_at_end_of_cycle(self, sched):
         out = []
         sched.post(1, out.append, (1,))
         sched.post(3, lambda: (out.append(3), sched.halt()))

@@ -1,12 +1,13 @@
 """Allocation guard: building a machine costs only what its run touches.
 
-The kernel's calendar ring and each core's AR log are sized for long
-runs but allocated lazily, so a freshly built machine retains little.
-A 4-node machine retains about 130 KiB; eagerly preallocating the
-ring alone (2,048 bucket lists) takes it to about 240 KiB, and the AR
-logs too (192 KiB per core) to about 1 MiB.  The budget sits between,
-so neither can creep back.  Counted in bytes, not time, so the check is
-deterministic.
+Each core's AR log is sized for long runs but allocated lazily, and
+the kernel's queue holds nothing but the records a build posts, so a
+freshly built machine retains little: about 100 KiB at 4 nodes.
+Preallocating the AR logs would add 192 KiB per core, and a per-cycle
+table of 2,048 bucket lists (what the retired calendar-queue kernel
+built eagerly) about 110 KiB.  The budget sits above today's figure
+with room for neither, so no eager table can creep back.  Counted in
+bytes, not time, so the check is deterministic.
 """
 
 import gc

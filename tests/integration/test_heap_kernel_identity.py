@@ -1,6 +1,6 @@
-"""Calendar kernel vs heap reference kernel on full-system runs.
+"""Kernel vs heap reference kernel on full-system runs.
 
-``tests/common/test_events_equivalence.py`` checks the calendar-queue
+``tests/common/test_events_equivalence.py`` checks the kernel's
 :class:`Scheduler` against ``_HeapScheduler``, the plain ``(time, seq)``
 heap reference in ``tests/common/test_events.py``, on randomized
 programs.  Here the same reference drives a whole machine: every
@@ -31,14 +31,14 @@ def run_on(kernel, spec, monkeypatch):
 
 @pytest.mark.parametrize("protocol", list(ProtocolKind))
 @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
-def test_calendar_and_heap_runs_identical(protocol, workload, monkeypatch):
+def test_kernel_and_heap_runs_identical(protocol, workload, monkeypatch):
     spec = RunSpec(
         SystemConfig.protected(protocol=protocol, num_nodes=4).with_seed(3),
         workload,
         30,
     )
-    calendar = run_on(Scheduler, spec, monkeypatch)
+    kernel = run_on(Scheduler, spec, monkeypatch)
     heap = run_on(_HeapScheduler, spec, monkeypatch)
-    assert calendar == heap  # RunMetrics equality covers every counter
-    assert calendar.events_processed == heap.events_processed
-    assert calendar.completed and heap.completed
+    assert kernel == heap  # RunMetrics equality covers every counter
+    assert kernel.events_processed == heap.events_processed
+    assert kernel.completed and heap.completed

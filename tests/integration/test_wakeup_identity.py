@@ -141,7 +141,7 @@ class TestWakeupIdentity:
 
     def test_identity_holds_on_heap_reference_kernel(self, monkeypatch):
         # The identity rests on the kernel contract (late lanes, halt at
-        # a cycle boundary), not on calendar-queue internals.
+        # the end of a cycle), not on the kernel's own code.
         monkeypatch.setattr(builder, "Scheduler", _HeapScheduler)
         spec = RunSpec(
             SystemConfig.protected(num_nodes=2).with_seed(3), "oltp", 40

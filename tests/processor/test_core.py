@@ -167,11 +167,18 @@ class TestModelSwitching:
     )
     def test_switch_rederives_ordering_views(self, start, target):
         # A switched core decodes, forwards and gates exactly like a
-        # core built under the target model.
+        # core built under the target model, and its write buffer (if
+        # any) drains under the same policy, issue cap and UO gate.
         def prog():
             yield Store(ADDR, 1)
             yield SetModel(target)
             yield Store(ADDR, 2)
+
+        def wb_policy(core):
+            wb = core.wb
+            if wb is None:
+                return None
+            return wb.in_order, wb.max_outstanding, wb.require_verified
 
         switched = run_programs([prog()], model=start)[0].cores[0]
         fresh = run_programs([idle_program()], model=target)[0].cores[0]
@@ -187,6 +194,7 @@ class TestModelSwitching:
         assert {v: getattr(switched, v) for v in views} == {
             v: getattr(fresh, v) for v in views
         }
+        assert wb_policy(switched) == wb_policy(fresh)
 
     def test_switch_from_sc_creates_write_buffer(self):
         def prog():

@@ -1,7 +1,7 @@
 """Write buffers: drain policies, fences, forwarding, fault handles."""
 
 from repro.common.stats import StatsRegistry
-from repro.processor.write_buffer import WriteBuffer
+from repro.processor.write_buffer import OUT_OF_ORDER_OUTSTANDING, WriteBuffer
 
 
 class Harness:
@@ -101,6 +101,32 @@ class TestOutOfOrderPolicy:
         h.complete(1)
         h.drain()
         assert h.issued == [1, 2]
+
+
+class TestAdoptOrder:
+    """One method sets a buffer's drain policy and its issue cap."""
+
+    def test_out_of_order_issues_up_to_the_cap(self):
+        h = Harness(in_order=False)
+        for seq in range(1, OUT_OF_ORDER_OUTSTANDING + 3):
+            h.wb.insert(seq, 0x100 * seq, seq)
+        h.drain()
+        assert len(h.issued) == OUT_OF_ORDER_OUTSTANDING
+
+    def test_switched_buffer_drains_like_a_fresh_one(self):
+        """An out-of-order buffer that adopts the in-order policy issues
+        from the head only, one store at a time, and back again."""
+        h = Harness(in_order=False)
+        h.wb.adopt_order(True)
+        assert h.wb.max_outstanding == 1
+        for seq, addr in ((1, 0x100), (2, 0x200), (3, 0x204)):
+            h.wb.insert(seq, addr, seq)
+        h.drain()
+        assert h.issued == [1]
+        h.complete(1)
+        h.wb.adopt_order(False)
+        h.drain()
+        assert sorted(h.issued) == [1, 2, 3]
 
 
 class TestVerificationGate:
