@@ -27,10 +27,12 @@ def run_one(kind: FaultKind, inject_cycle: int = 4000) -> None:
             checker=report.checker,
             kind=report.kind,
             detail=report.detail,
-            recoverable=system.safetynet.can_recover(inject_cycle),
+            recoverable=system.safetynet.can_recover(
+                inject_cycle, at=report.cycle
+            ),
         )
 
-    system.dvmc.violations._callback = on_violation
+    system.dvmc.violations.on_report = on_violation
     system.run(max_cycles=500_000, allow_incomplete=True)
     system.drain_epochs()
 

@@ -137,7 +137,7 @@ def cmd_inject(args) -> int:
     def on_violation(report):
         detection.setdefault("report", report)
 
-    system.dvmc.violations._callback = on_violation
+    system.dvmc.violations.on_report = on_violation
     system.run(max_cycles=args.max_cycles, allow_incomplete=True)
     system.drain_epochs()
     record = injector.records[0] if injector.records else None

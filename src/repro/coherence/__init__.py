@@ -2,7 +2,6 @@
 
 from .cache_controller import BaseCacheController, OpKind, WritebackEntry
 from .directory import DirectoryCacheController, DirectoryMemoryController
-from .hooks import SystemHooks
 from .messages import Coh, Dvcc, Sn, Snoop
 from .snooping import SnoopingCacheController, SnoopingMemoryController
 
@@ -17,6 +16,5 @@ __all__ = [
     "Snoop",
     "SnoopingCacheController",
     "SnoopingMemoryController",
-    "SystemHooks",
     "WritebackEntry",
 ]

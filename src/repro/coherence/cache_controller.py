@@ -3,8 +3,11 @@ protocols.
 
 The controller owns the node's L1 array, serialises core requests per
 block, runs coherence transactions, performs loads/stores/atomics when
-permissions allow, and announces epoch lifecycle events through
-:class:`~repro.coherence.hooks.SystemHooks`.
+permissions allow, and tells each event's one observer of it
+directly: the DVMC coherence checker (epochs and accesses), SafetyNet
+(block writes) and the node's core (invalidations).  Each observer is
+``None`` when the machine has none, and every call site checks for it,
+so the protocol neither knows nor waits on what watches it.
 
 Evictions are *blocking*: a dirty victim's writeback completes (ack or
 stale notification) before the demand request is issued.  This closes
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Set
 
 from repro.common.errors import SimulationError
 from repro.common.events import Scheduler
@@ -26,8 +29,6 @@ from repro.common.types import WORD_MASK, CoherenceState, EpochType
 from repro.config import SystemConfig
 from repro.memory.cache import CacheArray, CacheLine
 from repro.obs.spans import K_MSHR, K_OWNER
-
-from .hooks import SystemHooks
 
 #: Flight-recorder codes for cache-line state transitions (the ``b``
 #: column of cache-side K_OWNER instants, offset by +1 so 0 = absent).
@@ -64,13 +65,14 @@ class CoreRequest:
         value: Optional[int],
         on_done: Callable,
         issued_at: int,
+        tid: int,
     ):
         self.kind = kind
         self.addr = addr
         self.value = value
         self.on_done = on_done
         self.issued_at = issued_at
-        self.tid = 0  # flight-recorder trace id (0 = untraced)
+        self.tid = tid  # flight-recorder trace id (0 = untraced)
         # Stored, not a property: the service loop consults this once
         # per queued request and the descriptor call shows up there.
         self.needs_write = (
@@ -113,14 +115,12 @@ class BaseCacheController:
         node: int,
         scheduler: Scheduler,
         stats: StatsRegistry,
-        hooks: SystemHooks,
         config: SystemConfig,
         l1: CacheArray,
     ):
         self.node = node
         self.scheduler = scheduler
         self.stats = stats
-        self.hooks = hooks
         self.config = config
         self.l1 = l1
         self._queues: Dict[int, Deque[CoreRequest]] = {}
@@ -151,11 +151,18 @@ class BaseCacheController:
         self._l1_shift = l1._shift
         self._l1_set_mask = l1._set_mask
         self._l1_ports = l1.config.ports
-        #: When False (snooping), the protocol subclass fires epoch
-        #: hooks itself at serialization points; the shared helpers stay
+        #: When False (snooping), the protocol subclass reports epochs
+        #: itself at serialization points; the shared helpers stay
         #: silent except for clean-eviction epoch ends (no serialization
         #: event exists for those).
         self.manage_epochs = True
+        #: Observers, wired by the system builder (None = absent): the
+        #: DVMC coherence checker, SafetyNet, and this node's core.
+        #: Data arguments are the live block, read before the call
+        #: returns; observers copy what they keep.
+        self.checker = None
+        self.safetynet = None
+        self.core = None
         #: WaitSet notified on block state/ownership changes and
         #: transaction (MSHR) completion — wired to the owning core's
         #: ordering WaitSet by the system builder.  Spurious notifies
@@ -165,10 +172,10 @@ class BaseCacheController:
         #: builder via :meth:`attach_spans`).
         self.spans = None
         self._span_track = 0
-        #: Trace id of the miss being started (read by the protocol
-        #: subclass when stamping its request messages).
-        self._miss_tid = 0
         self._mshr_tokens: Dict[int, int] = {}
+        #: Blocks whose miss is counted and waits for a dirty victim's
+        #: writeback before its transaction starts.
+        self._evicting: Set[int] = set()
 
     def attach_spans(self, spans) -> None:
         """Wire the flight recorder (never changes simulation results)."""
@@ -176,36 +183,57 @@ class BaseCacheController:
         self._span_track = spans.track(f"cache.{self.node}")
 
     def unlink(self) -> None:
-        """Drop the requests a run cut short leaves queued.
+        """Drop the requests a run cut short leaves queued, and the link
+        to the core.
 
-        Each request's ``on_done`` calls back into its core, so the
-        System calls this when it is freed.
+        The core holds this controller, and each request's ``on_done``
+        calls back into the core, so the System calls this when it is
+        freed.
         """
         self._queues.clear()
+        self.core = None
 
     # ------------------------------------------------------------------
     # Core-facing API
     # ------------------------------------------------------------------
-    def load(self, addr: int, on_done: Callable[[int], None]) -> None:
+    # ``tid`` is the requesting op's flight-recorder trace id (0 when
+    # untraced); the miss and the transaction it starts carry it.
+    def load(self, addr: int, on_done: Callable[[int], None], tid: int = 0) -> None:
         """Read the word at ``addr``; ``on_done(value)`` when performed."""
-        self._submit(CoreRequest(OpKind.LOAD, addr, None, on_done, self.scheduler.now))
+        self._submit(
+            CoreRequest(OpKind.LOAD, addr, None, on_done, self.scheduler.now, tid)
+        )
 
-    def store(self, addr: int, value: int, on_done: Callable[[int], None]) -> None:
+    def store(
+        self, addr: int, value: int, on_done: Callable[[int], None], tid: int = 0
+    ) -> None:
         """Write ``value``; ``on_done(old_value)`` when the store performs."""
-        self._submit(CoreRequest(OpKind.STORE, addr, value, on_done, self.scheduler.now))
+        self._submit(
+            CoreRequest(OpKind.STORE, addr, value, on_done, self.scheduler.now, tid)
+        )
 
-    def atomic(self, addr: int, value: int, on_done: Callable[[int], None]) -> None:
+    def atomic(
+        self, addr: int, value: int, on_done: Callable[[int], None], tid: int = 0
+    ) -> None:
         """Atomic swap; ``on_done(old_value)`` when performed."""
-        self._submit(CoreRequest(OpKind.ATOMIC, addr, value, on_done, self.scheduler.now))
+        self._submit(
+            CoreRequest(OpKind.ATOMIC, addr, value, on_done, self.scheduler.now, tid)
+        )
 
-    def replay_load(self, addr: int, on_done: Callable[[int], None]) -> None:
+    def replay_load(
+        self, addr: int, on_done: Callable[[int], None], tid: int = 0
+    ) -> None:
         """Verification-stage replay read (bypasses the write buffer)."""
-        self._submit(CoreRequest(OpKind.REPLAY, addr, None, on_done, self.scheduler.now))
+        self._submit(
+            CoreRequest(OpKind.REPLAY, addr, None, on_done, self.scheduler.now, tid)
+        )
 
-    def prefetch_m(self, addr: int) -> None:
+    def prefetch_m(self, addr: int, tid: int = 0) -> None:
         """Obtain write permission without writing (store prefetch)."""
         self._submit(
-            CoreRequest(OpKind.PREFETCH, addr, None, lambda _v: None, self.scheduler.now)
+            CoreRequest(
+                OpKind.PREFETCH, addr, None, lambda _v: None, self.scheduler.now, tid
+            )
         )
 
     def peek_line(self, addr: int) -> Optional[CacheLine]:
@@ -216,10 +244,6 @@ class BaseCacheController:
     # Request scheduling
     # ------------------------------------------------------------------
     def _submit(self, req: CoreRequest) -> None:
-        s = self.spans
-        if s is not None:
-            # The core sets the side channel just before calling in.
-            req.tid = s.cur
         if req.kind is OpKind.REPLAY:
             self._values[self._h_replay_accesses] += 1
         else:
@@ -288,35 +312,43 @@ class BaseCacheController:
         del self._queues[block]
 
     def _begin_miss(self, req: CoreRequest, block: int, line: Optional[CacheLine]) -> None:
-        """Evict if necessary (blocking), then start the transaction."""
+        """Evict if necessary (blocking), then start the transaction.
+
+        A miss that waits for a dirty victim's writeback comes back
+        here once the writeback completes; it is counted, and its MSHR
+        span opened, on the first pass only.
+        """
         want_m = req.needs_write
-        if req.kind is OpKind.REPLAY:
-            self._values[self._h_replay_misses] += 1
+        if block in self._evicting:
+            self._evicting.discard(block)
         else:
-            self._values[self._h_misses] += 1
-        self._miss_tid = req.tid
-        s = self.spans
-        if s is not None and req.tid:
-            # MSHR lifetime: miss start -> _transaction_done.
-            self._mshr_tokens[block] = s.open(
-                req.tid, self._span_track, K_MSHR,
-                self.scheduler.now, block, 1 if want_m else 0, self.node,
-            )
+            if req.kind is OpKind.REPLAY:
+                self._values[self._h_replay_misses] += 1
+            else:
+                self._values[self._h_misses] += 1
+            s = self.spans
+            if s is not None and req.tid:
+                # MSHR lifetime: miss start -> _retire_transaction.
+                self._mshr_tokens[block] = s.open(
+                    req.tid, self._span_track, K_MSHR,
+                    self.scheduler.now, block, 1 if want_m else 0, self.node,
+                )
         if line is None:
             victim = self.l1.victim_for(block, pinned=self._pinned)
             if victim is not None and self._evict(victim, then_block=block):
+                self._evicting.add(block)
                 return  # resumes via _writeback_done
-        self._start_transaction(block, want_m)
+        self._start_transaction(block, want_m, req.tid)
 
     def _evict(self, victim: CacheLine, then_block: Optional[int] = None) -> bool:
         """Evict ``victim``.  Returns True if the caller must wait for a
         blocking writeback before proceeding with ``then_block``."""
         addr = victim.addr
         self._values[self._h_evictions] += 1
-        if (self.manage_epochs or not victim.is_dirty()) and self.hooks.sub_epoch_end:
-            self.hooks.epoch_end(self.node, addr, list(victim.data))
-        if self.hooks.sub_invalidation:
-            self.hooks.invalidation(self.node, addr)
+        if (self.manage_epochs or not victim.is_dirty()) and self.checker is not None:
+            self.checker.epoch_end(self.node, addr, victim.data)
+        if self.core is not None:
+            self.core.on_invalidation(addr)
         self.l1.remove(addr)
         if victim.is_dirty():
             entry = WritebackEntry(
@@ -342,7 +374,7 @@ class BaseCacheController:
         l1._use_clock = clock = l1._use_clock + 1
         line.last_used = clock
         kind = req.kind
-        hooks = self.hooks
+        checker = self.checker
         addr = req.addr
         if kind is OpKind.PREFETCH:
             req.on_done(0)
@@ -350,20 +382,20 @@ class BaseCacheController:
         word = (addr & 63) >> 2  # word_index, inlined
         if kind is OpKind.LOAD or kind is OpKind.REPLAY:
             value = line.data[word]
-            if kind is OpKind.LOAD and hooks.sub_access:
-                hooks.access(self.node, addr, False)
+            if kind is OpKind.LOAD and checker is not None:
+                checker.check_access(self.node, addr, False)
             req.on_done(value)
             return
         # STORE / ATOMIC: write in place (state M guaranteed).
         data = line.data
         old_value = data[word]
-        if hooks.sub_block_write:
-            hooks.block_write(self.node, line.addr, list(data))
+        if self.safetynet is not None:
+            self.safetynet.log_write(line.addr, data)
         data[word] = req.value & WORD_MASK
-        if hooks.sub_access:
-            hooks.access(self.node, addr, True)
+        if checker is not None:
+            checker.check_access(self.node, addr, True)
             if kind is OpKind.ATOMIC:
-                hooks.access(self.node, addr, False)
+                checker.check_access(self.node, addr, False)
         req.on_done(old_value)
 
     # ------------------------------------------------------------------
@@ -374,9 +406,11 @@ class BaseCacheController:
         return block in self._active
 
     def _install_block(
-        self, block: int, state: CoherenceState, data: List[int]
+        self, block: int, state: CoherenceState, data: List[int], tid: int
     ) -> CacheLine:
-        """Install a freshly arrived block and open its epoch."""
+        """Install a freshly arrived block and open its epoch.
+
+        ``tid`` is the trace id of the transaction that fetched it."""
         victim = self.l1.victim_for(block, pinned=self._pinned)
         if victim is not None:
             # The blocking-eviction policy frees a way before requesting,
@@ -389,39 +423,40 @@ class BaseCacheController:
         s = self.spans
         if s is not None:
             s.instant(
-                self._miss_tid, self._span_track, K_OWNER,
+                tid, self._span_track, K_OWNER,
                 self.scheduler.now, block, _STATE_CODE[state] + 1, self.node,
             )
-        if self.manage_epochs and self.hooks.sub_epoch_begin:
+        if self.manage_epochs and self.checker is not None:
             etype = (
                 EpochType.READ_WRITE
                 if state is CoherenceState.M
                 else EpochType.READ_ONLY
             )
-            self.hooks.epoch_begin(self.node, block, etype, list(line.data))
+            self.checker.epoch_begin(self.node, block, etype, line.data)
         if self.wakes is not None:
             self.wakes.notify()
         return line
 
-    def _upgrade_to_m(self, block: int) -> CacheLine:
-        """S/O -> M upgrade: close the RO epoch, open an RW epoch."""
+    def _upgrade_to_m(self, block: int, tid: int) -> CacheLine:
+        """S/O -> M upgrade: close the RO epoch, open an RW epoch.
+
+        ``tid`` is the trace id of the upgrading transaction."""
         line = self.l1.peek(block)
         if line is None:
             raise SimulationError(f"upgrade of absent block 0x{block:x}")
-        if self.manage_epochs and self.hooks.sub_epoch_end:
-            self.hooks.epoch_end(self.node, block, list(line.data))
+        checker = self.checker if self.manage_epochs else None
+        if checker is not None:
+            checker.epoch_end(self.node, block, line.data)
         line.state = CoherenceState.M
         s = self.spans
         if s is not None:
             s.instant(
-                self._miss_tid, self._span_track, K_OWNER,
+                tid, self._span_track, K_OWNER,
                 self.scheduler.now, block,
                 _STATE_CODE[CoherenceState.M] + 1, self.node,
             )
-        if self.manage_epochs and self.hooks.sub_epoch_begin:
-            self.hooks.epoch_begin(
-                self.node, block, EpochType.READ_WRITE, list(line.data)
-            )
+        if checker is not None:
+            checker.epoch_begin(self.node, block, EpochType.READ_WRITE, line.data)
         if self.wakes is not None:
             self.wakes.notify()
         return line
@@ -432,8 +467,9 @@ class BaseCacheController:
         if line is None:
             return None
         if line.state is CoherenceState.M:
-            if self.manage_epochs and self.hooks.sub_epoch_end:
-                self.hooks.epoch_end(self.node, block, list(line.data))
+            checker = self.checker if self.manage_epochs else None
+            if checker is not None:
+                checker.epoch_end(self.node, block, line.data)
             line.state = CoherenceState.O
             s = self.spans
             if s is not None:
@@ -442,10 +478,8 @@ class BaseCacheController:
                     self.scheduler.now, block,
                     _STATE_CODE[CoherenceState.O] + 1, self.node,
                 )
-            if self.manage_epochs and self.hooks.sub_epoch_begin:
-                self.hooks.epoch_begin(
-                    self.node, block, EpochType.READ_ONLY, list(line.data)
-                )
+            if checker is not None:
+                checker.epoch_begin(self.node, block, EpochType.READ_ONLY, line.data)
         return line
 
     def _invalidate_block(self, block: int) -> Optional[List[int]]:
@@ -454,9 +488,10 @@ class BaseCacheController:
         if line is None:
             return None
         data = list(line.data)
-        if self.manage_epochs and self.hooks.sub_epoch_end:
-            self.hooks.epoch_end(self.node, block, data)
-        self.hooks.invalidation(self.node, block)
+        if self.manage_epochs and self.checker is not None:
+            self.checker.epoch_end(self.node, block, data)
+        if self.core is not None:
+            self.core.on_invalidation(block)
         self.l1.remove(block)
         s = self.spans
         if s is not None:
@@ -482,22 +517,27 @@ class BaseCacheController:
             self.wakes.notify()
 
     # ------------------------------------------------------------------
-    # Protocol hooks (implemented by subclasses)
+    # Protocol steps (implemented by subclasses)
     # ------------------------------------------------------------------
-    def _start_transaction(self, block: int, want_m: bool) -> None:
+    def _start_transaction(self, block: int, want_m: bool, tid: int) -> None:
+        """Obtain S or M for ``block`` on behalf of the op ``tid``."""
         raise NotImplementedError
 
     def _start_writeback(self, entry: WritebackEntry) -> None:
         raise NotImplementedError
 
-    def _transaction_done(self, block: int) -> None:
-        """Subclasses call this once permissions are in place."""
+    def _retire_transaction(self, block: int) -> None:
+        """Free the block's MSHR: drop its transaction, end its span."""
         self._active.pop(block, None)
         s = self.spans
-        if s is not None and self._mshr_tokens:
+        if s is not None:
             token = self._mshr_tokens.pop(block, 0)
             if token:
                 s.close(token, self.scheduler.now)
+
+    def _transaction_done(self, block: int) -> None:
+        """Subclasses call this once permissions are in place."""
+        self._retire_transaction(block)
         self.scheduler.post(1, self._service_block, (block,))
         if self.wakes is not None:
             self.wakes.notify()

@@ -28,7 +28,6 @@ from repro.memory.memory import MainMemory
 from repro.obs.spans import K_OWNER
 
 from .cache_controller import BaseCacheController, WritebackEntry
-from .hooks import SystemHooks
 from .messages import Coh
 
 #: Controller occupancy per handled message, cycles.
@@ -49,7 +48,7 @@ class _DirTransaction:
         "tid",
     )
 
-    def __init__(self, block: int, want_m: bool, had_line: bool):
+    def __init__(self, block: int, want_m: bool, had_line: bool, tid: int):
         self.block = block
         self.want_m = want_m
         self.had_line = had_line  # upgrading from S/O (data already valid)
@@ -57,7 +56,7 @@ class _DirTransaction:
         self.acks_expected: Optional[int] = None
         self.acks_received = 0
         self.data_coming: Optional[bool] = None
-        self.tid = 0  # flight-recorder trace id (0 = untraced)
+        self.tid = tid  # flight-recorder trace id (0 = untraced)
 
     def complete(self) -> bool:
         if not self.want_m:
@@ -77,13 +76,12 @@ class DirectoryCacheController(BaseCacheController):
         node: int,
         scheduler: Scheduler,
         stats: StatsRegistry,
-        hooks: SystemHooks,
         config: SystemConfig,
         l1: CacheArray,
         network: Network,
         home_of: Callable[[int], int],
     ):
-        super().__init__(node, scheduler, stats, hooks, config, l1)
+        super().__init__(node, scheduler, stats, config, l1)
         self.network = network
         self.home_of = home_of
 
@@ -108,11 +106,9 @@ class DirectoryCacheController(BaseCacheController):
             msg.tid = tid
         self.network.send(msg)
 
-    def _start_transaction(self, block: int, want_m: bool) -> None:
+    def _start_transaction(self, block: int, want_m: bool, tid: int) -> None:
         line = self.l1.peek(block)
-        txn = _DirTransaction(block, want_m, had_line=line is not None)
-        txn.tid = self._miss_tid
-        self._active[block] = txn
+        self._active[block] = _DirTransaction(block, want_m, line is not None, tid)
         home = self.home_of(block)
         # have_line tells the home whether an upgrade really holds data;
         # silent Shared evictions leave the directory's sharer list
@@ -122,7 +118,7 @@ class DirectoryCacheController(BaseCacheController):
             Coh.GETM if want_m else Coh.GETS,
             block,
             flags=FLAG_HAVE_LINE if line is not None else 0,
-            tid=txn.tid,
+            tid=tid,
         )
 
     def _start_writeback(self, entry: WritebackEntry) -> None:
@@ -194,16 +190,19 @@ class DirectoryCacheController(BaseCacheController):
                     # Upgrade with a fresh copy (owner supplied data):
                     # the RO epoch ends over the *old* line content; the
                     # RW epoch begins over the arriving data.
-                    self.hooks.epoch_end(self.node, block, list(line.data))
+                    checker = self.checker
+                    if checker is not None:
+                        checker.epoch_end(self.node, block, line.data)
                     line.data = list(txn.data)
                     line.state = CoherenceState.M
-                    self.hooks.epoch_begin(
-                        self.node, block, EpochType.READ_WRITE, list(line.data)
-                    )
+                    if checker is not None:
+                        checker.epoch_begin(
+                            self.node, block, EpochType.READ_WRITE, line.data
+                        )
                     if self.wakes is not None:
                         self.wakes.notify()
                 else:
-                    self._upgrade_to_m(block)
+                    self._upgrade_to_m(block, txn.tid)
             else:
                 if txn.data is None:
                     # Only reachable under injected faults (e.g. a lost
@@ -212,13 +211,13 @@ class DirectoryCacheController(BaseCacheController):
                     self.unexpected("getm_no_data_or_line")
                     self._active.pop(block, None)
                     return
-                self._install_block(block, CoherenceState.M, txn.data)
+                self._install_block(block, CoherenceState.M, txn.data, txn.tid)
         else:
             if txn.data is None:
                 self.unexpected("gets_no_data")
                 self._active.pop(block, None)
                 return
-            self._install_block(block, CoherenceState.S, txn.data)
+            self._install_block(block, CoherenceState.S, txn.data, txn.tid)
         self._send(self.home_of(block), Coh.UNBLOCK, block, tid=txn.tid)
         self._transaction_done(block)
 
@@ -300,7 +299,6 @@ class DirectoryMemoryController:
         node: int,
         scheduler: Scheduler,
         stats: StatsRegistry,
-        hooks: SystemHooks,
         config: SystemConfig,
         memory: MainMemory,
         network: Network,
@@ -308,7 +306,6 @@ class DirectoryMemoryController:
         self.node = node
         self.scheduler = scheduler
         self.stats = stats
-        self.hooks = hooks
         self.config = config
         self.memory = memory
         self.network = network
@@ -327,6 +324,8 @@ class DirectoryMemoryController:
         # several messages through this controller.
         self._post = scheduler.post
         self._mem_latency = config.memory.latency
+        #: DVMC coherence checker (None = absent), wired by the builder.
+        self.checker = None
         #: Flight recorder (None unless built with spans=True; see obs.spans).
         self.spans = None
         self._span_track = 0
@@ -412,7 +411,8 @@ class DirectoryMemoryController:
     def _on_gets(self, requestor: int, block: int, tid: int = 0) -> None:
         self._busy.add(block)
         self._values[self._h_gets] += 1
-        self.hooks.home_request(self.node, block)
+        if self.checker is not None:
+            self.checker.home_request(self.node, block)
         owner = self._owner.get(block)
         if owner is None:
             data = self.memory.read_block(block)
@@ -433,7 +433,8 @@ class DirectoryMemoryController:
     ) -> None:
         self._busy.add(block)
         self._values[self._h_getm] += 1
-        self.hooks.home_request(self.node, block)
+        if self.checker is not None:
+            self.checker.home_request(self.node, block)
         owner = self._owner.get(block)
         rbit = 1 << requestor
         sharer_mask = self._sharers.get(block, 0)
@@ -477,9 +478,10 @@ class DirectoryMemoryController:
         if self._owner.get(block) == msg.src:
             if msg.data is None:
                 raise SimulationError("PutM without data")
-            self.hooks.memory_write(
-                self.node, block, self.memory.read_block(block), msg.data
-            )
+            if self.checker is not None:
+                self.checker.memory_written(
+                    self.node, block, self.memory.read_block(block), msg.data
+                )
             self.memory.write_block(block, msg.data)
             del self._owner[block]
             self._send(msg.src, Coh.WB_ACK, block, tid=msg.tid)

@@ -28,7 +28,6 @@ from repro.memory.memory import MainMemory
 from repro.obs.spans import K_OWNER
 
 from .cache_controller import BaseCacheController, WritebackEntry
-from .hooks import SystemHooks
 from .messages import Coh, Snoop
 
 _CTRL_LATENCY = 2
@@ -48,14 +47,14 @@ class _SnoopTransaction:
         "tid",
     )
 
-    def __init__(self, block: int, want_m: bool):
+    def __init__(self, block: int, want_m: bool, tid: int):
         self.block = block
         self.want_m = want_m
         self.serialized = False
         self.await_data = False
         self.killed = False  # a later GetM took the block before our data came
         self.obligations: List[Tuple[Snoop, int, Optional[int], int]] = []
-        self.tid = 0  # flight-recorder trace id (0 = untraced)
+        self.tid = tid  # flight-recorder trace id (0 = untraced)
         #: Node whose GetM was serialized after ours took future
         #: ownership; once set, later snoops are that node's problem.
         self.lost_to: Optional[int] = None
@@ -69,14 +68,13 @@ class SnoopingCacheController(BaseCacheController):
         node: int,
         scheduler: Scheduler,
         stats: StatsRegistry,
-        hooks: SystemHooks,
         config: SystemConfig,
         l1: CacheArray,
         address_net: Network,
         data_net: Network,
         home_of: Callable[[int], int],
     ):
-        super().__init__(node, scheduler, stats, hooks, config, l1)
+        super().__init__(node, scheduler, stats, config, l1)
         self.address_net = address_net
         self.data_net = data_net
         self.home_of = home_of
@@ -116,11 +114,9 @@ class SnoopingCacheController(BaseCacheController):
             msg.tid = tid
         self.data_net.send(msg)
 
-    def _start_transaction(self, block: int, want_m: bool) -> None:
-        txn = _SnoopTransaction(block, want_m)
-        txn.tid = self._miss_tid
-        self._active[block] = txn
-        self._broadcast(Snoop.GETM if want_m else Snoop.GETS, block, tid=txn.tid)
+    def _start_transaction(self, block: int, want_m: bool, tid: int) -> None:
+        self._active[block] = _SnoopTransaction(block, want_m, tid)
+        self._broadcast(Snoop.GETM if want_m else Snoop.GETS, block, tid=tid)
 
     def _start_writeback(self, entry: WritebackEntry) -> None:
         self._broadcast(Snoop.PUTM, entry.addr)
@@ -146,15 +142,18 @@ class SnoopingCacheController(BaseCacheController):
             self.unexpected("own_snoop_no_txn")
             return
         txn.serialized = True
+        checker = self.checker
         line = self.l1.peek(block)
         if txn.want_m:
             if line is not None and line.state.is_owner():
                 # O->M (or M; no data movement): epochs switch here.
-                self.hooks.epoch_end(self.node, block, list(line.data))
+                if checker is not None:
+                    checker.epoch_end(self.node, block, line.data)
                 line.state = CoherenceState.M
-                self.hooks.epoch_begin(
-                    self.node, block, EpochType.READ_WRITE, list(line.data)
-                )
+                if checker is not None:
+                    checker.epoch_begin(
+                        self.node, block, EpochType.READ_WRITE, line.data
+                    )
                 if self.wakes is not None:
                     self.wakes.notify()
                 self._complete(txn)
@@ -162,15 +161,14 @@ class SnoopingCacheController(BaseCacheController):
             if line is not None:
                 # S->M: the RO epoch ends here; fresh data will arrive
                 # (memory always supplies unless the requestor owns).
-                self.hooks.epoch_end(self.node, block, list(line.data))
+                if checker is not None:
+                    checker.epoch_end(self.node, block, line.data)
                 self.l1.remove(block)
-            self.hooks.epoch_begin(
-                self.node, block, EpochType.READ_WRITE, None
-            )
-            txn.await_data = True
-        else:
-            self.hooks.epoch_begin(self.node, block, EpochType.READ_ONLY, None)
-            txn.await_data = True
+            if checker is not None:
+                checker.epoch_begin(self.node, block, EpochType.READ_WRITE, None)
+        elif checker is not None:
+            checker.epoch_begin(self.node, block, EpochType.READ_ONLY, None)
+        txn.await_data = True
 
     def _own_putm(self, block: int) -> None:
         wb = self._writebacks.get(block)
@@ -181,7 +179,8 @@ class SnoopingCacheController(BaseCacheController):
             # A GetM serialized before our PutM already took the block.
             self._writeback_done(block, stale=True)
             return
-        self.hooks.epoch_end(self.node, block, list(wb.data))
+        if self.checker is not None:
+            self.checker.epoch_end(self.node, block, wb.data)
         self._send_data(self.home_of(block), Coh.PUTM, block, wb.data)
         self._writeback_done(block, stale=False)
 
@@ -201,14 +200,17 @@ class SnoopingCacheController(BaseCacheController):
         tid: int = 0,
     ) -> None:
         at = self._now() if at_lt is None else at_lt
+        checker = self.checker
         line = self.l1.peek(block)
         if line is not None and line.state.is_owner():
             if line.state is CoherenceState.M:
-                self.hooks.epoch_end(self.node, block, list(line.data), at)
+                if checker is not None:
+                    checker.epoch_end(self.node, block, line.data, at)
                 line.state = CoherenceState.O
-                self.hooks.epoch_begin(
-                    self.node, block, EpochType.READ_ONLY, list(line.data), at
-                )
+                if checker is not None:
+                    checker.epoch_begin(
+                        self.node, block, EpochType.READ_ONLY, line.data, at
+                    )
                 if self.wakes is not None:
                     self.wakes.notify()
             self._send_data(requestor, Coh.DATA, block, line.data, tid=tid)
@@ -218,11 +220,13 @@ class SnoopingCacheController(BaseCacheController):
             # Still the owner until our PutM serializes; supply data and
             # continue owning (M->O transition applies to the WB copy).
             if wb.state is CoherenceState.M:
-                self.hooks.epoch_end(self.node, block, list(wb.data), at)
+                if checker is not None:
+                    checker.epoch_end(self.node, block, wb.data, at)
                 wb.state = CoherenceState.O
-                self.hooks.epoch_begin(
-                    self.node, block, EpochType.READ_ONLY, list(wb.data), at
-                )
+                if checker is not None:
+                    checker.epoch_begin(
+                        self.node, block, EpochType.READ_ONLY, wb.data, at
+                    )
             self._send_data(requestor, Coh.DATA, block, wb.data, tid=tid)
             return
         txn = self._active.get(block)
@@ -242,18 +246,22 @@ class SnoopingCacheController(BaseCacheController):
         tid: int = 0,
     ) -> None:
         at = self._now() if at_lt is None else at_lt
+        checker = self.checker
         line = self.l1.peek(block)
         if line is not None:
             if line.state.is_owner():
                 self._send_data(requestor, Coh.DATA, block, line.data, tid=tid)
-            self.hooks.epoch_end(self.node, block, list(line.data), at)
-            self.hooks.invalidation(self.node, block)
+            if checker is not None:
+                checker.epoch_end(self.node, block, line.data, at)
+            if self.core is not None:
+                self.core.on_invalidation(block)
             self.l1.remove(block)
             return
         wb = self._writebacks.get(block)
         if wb is not None and not wb.responded:
             wb.responded = True
-            self.hooks.epoch_end(self.node, block, list(wb.data), at)
+            if checker is not None:
+                checker.epoch_end(self.node, block, wb.data, at)
             self._send_data(requestor, Coh.DATA, block, wb.data, tid=tid)
             return
         txn = self._active.get(block)
@@ -267,8 +275,10 @@ class SnoopingCacheController(BaseCacheController):
                 # arrived before our data: the arriving block serves the
                 # waiting load once, then the line is dead on arrival.
                 txn.killed = True
-                self.hooks.epoch_end(self.node, block, None, at)
-                self.hooks.invalidation(self.node, block)
+                if checker is not None:
+                    checker.epoch_end(self.node, block, None, at)
+                if self.core is not None:
+                    self.core.on_invalidation(block)
 
     # -- data arrival ---------------------------------------------------------
     def handle_data(self, msg: Message) -> None:
@@ -286,18 +296,20 @@ class SnoopingCacheController(BaseCacheController):
             # Serve the waiting load from the in-flight data *before*
             # closing out the epoch record (the access must be checked
             # against the still-present CET entry).
-            self._complete_killed(txn, list(msg.data))
-            self.hooks.epoch_data(self.node, block, list(msg.data))
+            self._complete_killed(txn, msg.data)
+            if self.checker is not None:
+                self.checker.epoch_data(self.node, block, msg.data)
             return
-        self.hooks.epoch_data(self.node, block, list(msg.data))
+        if self.checker is not None:
+            self.checker.epoch_data(self.node, block, msg.data)
         state = CoherenceState.M if txn.want_m else CoherenceState.S
-        self._install_block(block, state, list(msg.data))
+        self._install_block(block, state, list(msg.data), txn.tid)
         self._complete(txn)
 
     # -- completion -----------------------------------------------------------
     def _complete(self, txn: _SnoopTransaction) -> None:
         block = txn.block
-        self._active.pop(block, None)
+        self._retire_transaction(block)
         # Perform the waiting core accesses now, inside our epoch...
         self._service_block(block)
         # ...then honour handoffs that serialized after our request,
@@ -315,14 +327,15 @@ class SnoopingCacheController(BaseCacheController):
         """Serve the head load from in-flight data; the line is not
         installed (a later writer already owns it)."""
         block = txn.block
-        self._active.pop(block, None)
+        self._retire_transaction(block)
         queue = self._queues.get(block)
         if queue:
             head = queue[0]
             if not head.needs_write:
                 queue.popleft()
                 value = data[word_index(head.addr)]
-                self.hooks.access(self.node, head.addr, False)
+                if self.checker is not None:
+                    self.checker.check_access(self.node, head.addr, False)
                 head.on_done(value)
         self.stats.incr(f"{self._stat}.killed_fills")
         self.scheduler.post(1, self._service_block, (block,))
@@ -338,7 +351,6 @@ class SnoopingMemoryController:
         node: int,
         scheduler: Scheduler,
         stats: StatsRegistry,
-        hooks: SystemHooks,
         config: SystemConfig,
         memory: MainMemory,
         data_net: Network,
@@ -347,7 +359,6 @@ class SnoopingMemoryController:
         self.node = node
         self.scheduler = scheduler
         self.stats = stats
-        self.hooks = hooks
         self.config = config
         self.memory = memory
         self.data_net = data_net
@@ -360,6 +371,8 @@ class SnoopingMemoryController:
         self._h_getm = stats.handle(f"snoopmem.{node}.getm")
         self._h_putm = stats.handle(f"snoopmem.{node}.putm")
         self._values = stats.values
+        #: DVMC coherence checker (None = absent), wired by the builder.
+        self.checker = None
         #: Flight recorder (None unless built with spans=True; see obs.spans).
         self.spans = None
         self._span_track = 0
@@ -379,12 +392,14 @@ class SnoopingMemoryController:
         owner = self._owner.get(block)
         kind = msg.kind
         if kind is Snoop.GETS:
-            self.hooks.home_request(self.node, block)
+            if self.checker is not None:
+                self.checker.home_request(self.node, block)
             self._values[self._h_gets] += 1
             if owner is None:
                 self._supply(msg.src, block, msg.tid)
         elif kind is Snoop.GETM:
-            self.hooks.home_request(self.node, block)
+            if self.checker is not None:
+                self.checker.home_request(self.node, block)
             self._values[self._h_getm] += 1
             if owner is None and owner != msg.src:
                 self._supply(msg.src, block, msg.tid)
@@ -436,9 +451,10 @@ class SnoopingMemoryController:
         block = block_of(msg.addr)
         if self._pending_wb.get(block) == msg.src and msg.data is not None:
             del self._pending_wb[block]
-            self.hooks.memory_write(
-                self.node, block, self.memory.read_block(block), msg.data
-            )
+            if self.checker is not None:
+                self.checker.memory_written(
+                    self.node, block, self.memory.read_block(block), msg.data
+                )
             self.memory.write_block(block, msg.data)
         else:
             self.stats.incr(f"{self._stat}.stale_wb_data")

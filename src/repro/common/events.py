@@ -181,10 +181,11 @@ class Scheduler:
         This is the simulator's innermost loop.  With ``until`` the run
         stops once simulated time would exceed that cycle, leaving
         ``now`` at ``until``; a queue that drains first leaves ``now``
-        at the last event.  A run re-entered after a callback raised
-        picks up with the records still queued; if the raising record
-        was the last normal record of its cycle, that cycle's late lane
-        runs first.
+        at the last event.  Time never runs backwards: an ``until``
+        below ``now`` runs nothing and leaves ``now`` as it is.  A run
+        re-entered after a callback raised picks up with the records
+        still queued; if the raising record was the last normal record
+        of its cycle, that cycle's late lane runs first.
         """
         heap = self._heap
         late = self._late
@@ -206,7 +207,8 @@ class Scheduler:
                     return
                 now = heap[0][0]
                 if until is not None and now > until:
-                    self.now = until
+                    if until > self.now:
+                        self.now = until
                     return
                 self.now = now
                 # Drain cycle ``now``: its records, then its late lane

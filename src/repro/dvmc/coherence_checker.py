@@ -239,18 +239,14 @@ class CoherenceChecker:
         return value
 
     # ------------------------------------------------------------------
-    # Hook subscriptions (wired by the system builder)
-    # ------------------------------------------------------------------
-    def attach(self, hooks) -> None:
-        hooks.on_epoch_begin(self.epoch_begin)
-        hooks.on_epoch_data(self.epoch_data)
-        hooks.on_epoch_end(self.epoch_end)
-        hooks.on_access(self.check_access)
-        hooks.on_home_request(self.home_request)
-        hooks.on_memory_write(self.memory_written)
-
-    # ------------------------------------------------------------------
-    # CET side
+    # CET side.  The cache controllers call these directly (the system
+    # builder hands each controller this checker).  ``data`` is the
+    # live block, read before the call returns and never kept; None
+    # means the data has not arrived yet (snooping epochs open at the
+    # serialization point, and ``epoch_data`` supplies the hash when
+    # the block lands).  ``lt`` is an explicit logical timestamp for
+    # protocols whose epochs change at serialization points (snooping);
+    # None means now.
     # ------------------------------------------------------------------
     def epoch_begin(
         self,

@@ -19,19 +19,19 @@ from repro.common.types import ViolationReport
 class ViolationLog:
     """Collects violation reports from every checker.
 
-    An optional callback sees each report as it is made; the
+    ``on_report``, when set, sees each report as it is made; the
     error-injection campaign uses it to compare the first detection
     against the SafetyNet recovery window.
     """
 
-    def __init__(self, callback=None):
+    def __init__(self, on_report=None):
         self.reports: List[ViolationReport] = []
-        self._callback = callback
+        self.on_report = on_report
 
     def __call__(self, report: ViolationReport) -> None:
         self.reports.append(report)
-        if self._callback is not None:
-            self._callback(report)
+        if self.on_report is not None:
+            self.on_report(report)
 
     def __len__(self) -> int:
         return len(self.reports)

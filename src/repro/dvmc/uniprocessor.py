@@ -214,13 +214,15 @@ class UniprocessorOrderingChecker:
         original_value: Optional[int],
         done: Callable[[bool, int], None],
         seq: Optional[int] = None,
+        tid: int = 0,
     ) -> None:
-        """Replay a committed load; ``done(mismatch, replay_value)``."""
+        """Replay a committed load; ``done(mismatch, replay_value)``.
+
+        ``tid`` is the load's flight-recorder trace id (0 = untraced)."""
         s = self.spans
-        if s is not None and s.cur:
-            # The core parks its trace id in ``cur`` around this call.
+        if s is not None and tid:
             s.instant(
-                s.cur, self._span_track, K_REPLAY, self.scheduler.now,
+                tid, self._span_track, K_REPLAY, self.scheduler.now,
                 addr, -1 if seq is None else seq, self.node,
             )
         word = word_of(addr)
@@ -257,7 +259,7 @@ class UniprocessorOrderingChecker:
             return
         self._values[self._h_cache_reads] += 1
         self.controller.replay_load(
-            addr, lambda value: done(value != original_value, value)
+            addr, lambda value: done(value != original_value, value), tid
         )
 
     def flush_clean_entries(self) -> None:

@@ -72,9 +72,11 @@ def run_trial(
         detection["cycle"] = report.cycle
         detection["checker"] = report.checker
         if safetynet is not None:
-            detection["recoverable"] = safetynet.can_recover(inject_cycle)
+            detection["recoverable"] = safetynet.can_recover(
+                inject_cycle, at=report.cycle
+            )
 
-    system.dvmc.violations._callback = on_violation
+    system.dvmc.violations.on_report = on_violation
     result = system.run(max_cycles=max_cycles, allow_incomplete=True)
     # Close every epoch so the MET sees faults whose natural detection
     # point is the block's next epoch end, then scrub memory so latent

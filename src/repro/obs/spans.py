@@ -7,7 +7,10 @@ makes on its way through the machine: write-buffer residency,
 cache-controller MSHR lifetime, per-link express-plane reservations
 and message flights, directory/snooping ownership transitions,
 SafetyNet checkpoints, and finally the DVMC verdicts (AR reorder
-check, UO commit/replay, CC epoch + MET processing).  Infrastructure
+check, UO commit/replay, CC epoch + MET processing).  The id travels
+as an argument: the core passes it with each cache request, a miss
+hands it to the transaction it starts, and that transaction's
+messages carry it in ``Message.tid``.  Infrastructure
 spans that belong to no single operation (epochs, MET records,
 checkpoints, ownership hand-offs no miss started) are recorded with
 trace id 0; forensics joins them to transactions by block.
@@ -96,7 +99,6 @@ class SpanRecorder:
     __slots__ = (
         "dropped_ops",
         "emitted_spans",
-        "cur",
         "force_closed",
         "finalized",
         "end_time",
@@ -115,9 +117,6 @@ class SpanRecorder:
         self.dropped_ops = 0
         #: Closed spans emitted, kept or since evicted by the ring.
         self.emitted_spans = 0
-        #: Side-channel: the trace id of the op the core is currently
-        #: handing to the cache controller (0 between hand-offs).
-        self.cur = 0
         #: Spans still open at finalize (closed with the end time).
         self.force_closed = 0
         self.finalized = False

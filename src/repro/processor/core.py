@@ -434,12 +434,7 @@ class Core:
             if self.model is ConsistencyModel.SC:
                 # SC baseline optimisation: exclusive prefetch so the
                 # commit-time store usually hits in M (paper Section 4).
-                s = self.spans
-                if s is not None:
-                    s.cur = rec.tid
-                self.controller.prefetch_m(rec.addr)
-                if s is not None:
-                    s.cur = 0
+                self.controller.prefetch_m(rec.addr, rec.tid)
             self._release(rec, None)
             self._kick()
         elif kind is OpType.ATOMIC:
@@ -505,23 +500,16 @@ class Core:
         if self._load_ordered:
             # Speculative issue; squash tracking via invalidations.
             self._spec_loads.setdefault(block_of(rec.addr), []).append(rec)
-            self._traced_load(rec)
+            self._issue_load(rec)
         else:
             # RMO: loads perform at execute, non-speculatively.
             if self._can_perform(rec):
-                self._traced_load(rec)
+                self._issue_load(rec)
             else:
                 self._ws_order.park(self._execute_load, (rec,))
 
-    def _traced_load(self, rec: OpRec) -> None:
-        """Issue a load to the cache with the recorder's current-tid
-        side channel set (the controller stamps requests from it)."""
-        s = self.spans
-        if s is not None:
-            s.cur = rec.tid
-        self.controller.load(rec.addr, lambda v: self._load_bound(rec, v))
-        if s is not None:
-            s.cur = 0
+    def _issue_load(self, rec: OpRec) -> None:
+        self.controller.load(rec.addr, lambda v: self._load_bound(rec, v), rec.tid)
 
     def _load_bound(self, rec: OpRec, value: int) -> None:
         if self.uo is not None:
@@ -577,14 +565,9 @@ class Core:
                     rec.blocker = other
                 self._ws_order.park(self._execute_atomic, (rec,))
                 return
-        s = self.spans
-        if s is not None:
-            s.cur = rec.tid
         self.controller.atomic(
-            rec.addr, rec.value, lambda old: self._atomic_done(rec, old)
+            rec.addr, rec.value, lambda old: self._atomic_done(rec, old), rec.tid
         )
-        if s is not None:
-            s.cur = 0
 
     def _atomic_done(self, rec: OpRec, old_value: int) -> None:
         rec.executed = True
@@ -679,12 +662,7 @@ class Core:
                 rec.bound_value = value
                 self._perform_load_when_final(rec)
 
-            s = self.spans
-            if s is not None:
-                s.cur = rec.tid
-            self.controller.load(rec.addr, rebound)
-            if s is not None:
-                s.cur = 0
+            self.controller.load(rec.addr, rebound, rec.tid)
             return
         self._resolve_speculation(rec)
         self._mark_performed(rec)
@@ -703,12 +681,7 @@ class Core:
                 self.uo.store_performed(rec.seq, rec.addr, rec.value)
             self._mark_performed(rec)
 
-        s = self.spans
-        if s is not None:
-            s.cur = rec.tid
-        self.controller.store(rec.addr, rec.value, done)
-        if s is not None:
-            s.cur = 0
+        self.controller.store(rec.addr, rec.value, done, rec.tid)
 
     # ------------------------------------------------------------------
     # Verification stage (DVMC Uniprocessor Ordering, paper 4.1)
@@ -807,9 +780,6 @@ class Core:
                 self._release(rec, rec.bound_value)
             self._kick()
 
-        s = self.spans
-        if s is not None:
-            s.cur = rec.tid
         if rec.squashed and rec.release is not None:
             # Mis-speculated load whose value has not been delivered
             # yet: a real core re-executes it.  The VC compare is
@@ -818,14 +788,12 @@ class Core:
             # committed — so read the cache directly for the value the
             # load performs with.
             self.controller.replay_load(
-                rec.addr, lambda value: done(value != rec.bound_value, value)
+                rec.addr,
+                lambda value: done(value != rec.bound_value, value),
+                rec.tid,
             )
-            if s is not None:
-                s.cur = 0
             return
-        self.uo.replay_load(rec.addr, rec.bound_value, done, seq=rec.seq)
-        if s is not None:
-            s.cur = 0
+        self.uo.replay_load(rec.addr, rec.bound_value, done, seq=rec.seq, tid=rec.tid)
 
     # ------------------------------------------------------------------
     # Perform bookkeeping
@@ -878,12 +846,7 @@ class Core:
     # Write-buffer interaction
     # ------------------------------------------------------------------
     def _issue_store(self, entry: WBEntry, on_done: Callable[[int], None]) -> None:
-        s = self.spans
-        if s is not None:
-            s.cur = entry.tid
-        self.controller.store(entry.addr, entry.value, on_done)
-        if s is not None:
-            s.cur = 0
+        self.controller.store(entry.addr, entry.value, on_done, entry.tid)
 
     def _store_performed(self, entry: WBEntry, old_value: int) -> None:
         if self.uo is not None:

@@ -21,7 +21,7 @@ the reconstructed memory image matches a snapshot.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.common.errors import RecoveryError
 from repro.common.events import Scheduler
@@ -65,6 +65,10 @@ class SafetyNet:
         self._values = stats.values
         self._send = send  # optional: callable(Message) for ckpt traffic
         self._checkpoints: Deque[Checkpoint] = deque()
+        #: (start cycle, retirement cycle) of each retired checkpoint,
+        #: oldest first, so recoverability can be judged as of a past
+        #: cycle (see :meth:`can_recover`).
+        self._retired: List[Tuple[int, int]] = []
         self._next_index = 0
         #: Flight recorder (None unless built with spans=True; see obs.spans).
         self.spans = None
@@ -77,11 +81,12 @@ class SafetyNet:
         self.spans = spans
         self._span_track = spans.track("safetynet")
 
-    # -- hook subscriptions -------------------------------------------------
-    def attach(self, hooks) -> None:
-        hooks.on_block_write(self._on_block_write)
+    # -- undo logging ---------------------------------------------------------
+    def log_write(self, block: int, old_data: list) -> None:
+        """A cache is about to write ``block``, which holds ``old_data``.
 
-    def _on_block_write(self, node: int, block: int, old_data: list) -> None:
+        The first write in a checkpoint interval logs a copy (the cache
+        controllers call this before every store and atomic)."""
         ckpt = self._checkpoints[-1]
         if block not in ckpt.undo:
             ckpt.undo[block] = list(old_data)
@@ -107,6 +112,7 @@ class SafetyNet:
         while len(self._checkpoints) > self.config.max_checkpoints:
             retired = self._checkpoints.popleft()
             retired.validated = True
+            self._retired.append((retired.start_cycle, self.scheduler.now))
             self.stats.incr("sn.checkpoints_retired")
         # Checkpoint-coordination traffic (validation round).
         if self._send is not None:
@@ -127,13 +133,26 @@ class SafetyNet:
         """Start cycle of the oldest checkpoint we can still roll back to."""
         return self._checkpoints[0].start_cycle
 
-    def can_recover(self, error_cycle: int) -> bool:
-        """Is a checkpoint taken at or before ``error_cycle`` still live?
+    def can_recover(self, error_cycle: int, at: Optional[int] = None) -> bool:
+        """Was a checkpoint taken at or before ``error_cycle`` live at
+        cycle ``at`` (default: now)?
 
         This is the paper's validity criterion: the error must be
-        detected before the last pre-error checkpoint expires.
+        detected before the last pre-error checkpoint expires.  Pass
+        the detection's cycle (``ViolationReport.cycle``) as ``at``: a
+        checker may report after the cycle it flags (the AR streaming
+        log drains in batches), and checkpoints may retire in between.
+        A checkpoint retired at cycle ``at`` counts as gone then.
         """
-        return self.oldest_live_cycle <= error_cycle
+        if self.oldest_live_cycle <= error_cycle:
+            return True
+        if at is not None:
+            # Every live checkpoint is younger than the error; the last
+            # retired one taken at or before it decides.
+            for start, retired in reversed(self._retired):
+                if start <= error_cycle:
+                    return retired > at
+        return False
 
     def recovery_point_for(self, error_cycle: int) -> Optional[Checkpoint]:
         """Latest live checkpoint taken at or before ``error_cycle``."""

@@ -2,8 +2,8 @@
 
 Builds the interconnect(s), memory controllers, cache controllers,
 cores, logical-time base, DVMC checkers and SafetyNet for either
-protocol, and wires the observation hooks between them.  This is the
-main entry point of the library::
+protocol, and hands each component the one observer of each event it
+raises.  This is the main entry point of the library::
 
     from repro import SystemConfig, build_system
     system = build_system(SystemConfig.protected(), workload="oltp", ops=500)
@@ -29,7 +29,6 @@ from repro.coherence.directory import (
     DirectoryCacheController,
     DirectoryMemoryController,
 )
-from repro.coherence.hooks import SystemHooks
 from repro.coherence.messages import Coh, Dvcc, Sn
 from repro.coherence.snooping import (
     SnoopingCacheController,
@@ -91,10 +90,10 @@ class System:
     A component does not outlive its machine.  Nothing inside the
     machine refers to its System and no part refers to itself, so the
     few links a running machine needs in both directions (the event
-    queue, the network handler tables, the hook subscriber lists, the
-    write buffers' and AR checkers' links back to their cores, and the
-    ops a run cut short leaves in flight, queued at the caches or
-    parked on the wake hub) form its only reference cycles.  The System
+    queue, the network handler tables, the cache controllers', write
+    buffers' and AR checkers' links back to their cores, and the ops a
+    run cut short leaves in flight, queued at the caches or parked on
+    the wake hub) form its only reference cycles.  The System
     cuts them when it is freed, and reference counting then reclaims
     every part with it.
     """
@@ -110,7 +109,6 @@ class System:
         #: check them in.
         self.wake_hub = WakeHub(self.scheduler)
         self.stats = StatsRegistry()
-        self.hooks = SystemHooks()
         self.cores: List[Core] = []
         self.cache_controllers: list = []
         self.memory_controllers: list = []
@@ -150,9 +148,6 @@ class System:
         wake_hub = getattr(self, "wake_hub", None)
         if wake_hub is not None:
             wake_hub.clear()
-        hooks = getattr(self, "hooks", None)
-        if hooks is not None:
-            hooks.clear()
         for name in ("data_network", "address_network"):
             network = getattr(self, name, None)
             if network is not None:
@@ -335,7 +330,6 @@ def build_system(
     system = System(config)
     sched = system.scheduler
     stats = system.stats
-    hooks = system.hooks
     home_of = system._home_of
     num = config.num_nodes
 
@@ -359,7 +353,6 @@ def build_system(
     # Logical time ---------------------------------------------------------
     if config.protocol is ProtocolKind.SNOOPING:
         lt = SnoopingLogicalTime(num)
-        hooks.on_snoop_tick(lt.tick)
     else:
         min_latency = config.network.link_latency + config.network.serialization_cycles(
             config.network.control_message_bytes
@@ -376,20 +369,19 @@ def build_system(
         l1 = CacheArray(f"l1.{n}", config.l1, stats)
         if config.protocol is ProtocolKind.DIRECTORY:
             cache_ctrl = DirectoryCacheController(
-                n, sched, stats, hooks, config, l1, system.data_network,
-                home_of,
+                n, sched, stats, config, l1, system.data_network, home_of,
             )
             mem_ctrl = DirectoryMemoryController(
-                n, sched, stats, hooks, config, system.memories[n],
+                n, sched, stats, config, system.memories[n],
                 system.data_network,
             )
         else:
             cache_ctrl = SnoopingCacheController(
-                n, sched, stats, hooks, config, l1,
+                n, sched, stats, config, l1,
                 system.address_network, system.data_network, home_of,
             )
             mem_ctrl = SnoopingMemoryController(
-                n, sched, stats, hooks, config, system.memories[n],
+                n, sched, stats, config, system.memories[n],
                 system.data_network, home_of,
             )
         if config.protocol is ProtocolKind.SNOOPING:
@@ -410,14 +402,21 @@ def build_system(
             system.data_network.send,
             violations,
         )
-        system.dvmc.coherence_checker.attach(hooks)
 
     # SafetyNet -----------------------------------------------------------
     if config.safetynet.enabled:
         system.safetynet = SafetyNet(
             sched, stats, config, send=system.data_network.send
         )
-        system.safetynet.attach(hooks)
+
+    # Each controller calls the one observer of each event it raises:
+    # the CC checker sees epochs, accesses, home requests and memory
+    # writes; SafetyNet logs cache block writes.
+    for cache_ctrl, mem_ctrl in zip(
+        system.cache_controllers, system.memory_controllers
+    ):
+        cache_ctrl.checker = mem_ctrl.checker = system.dvmc.coherence_checker
+        cache_ctrl.safetynet = system.safetynet
 
     # Node message routing -----------------------------------------------------
     _wire_routers(system)
@@ -444,8 +443,10 @@ def build_system(
         # controller completes a transition (install, upgrade,
         # invalidate, writeback, MSHR completion).  Spurious notifies
         # are architecturally safe: a woken check that still fails
-        # simply re-parks on its retry grid.
+        # simply re-parks on its retry grid.  The controller also tells
+        # its core of each invalidation (load-order squash, paper 4.1).
         system.cache_controllers[n].wakes = core._ws_order
+        system.cache_controllers[n].core = core
         if config.dvmc.enable_uniprocessor:
             uo = UniprocessorOrderingChecker(
                 n,
@@ -474,9 +475,6 @@ def build_system(
             ar.attach_log()
             system.dvmc.ar_checkers.append(ar)
         system.cores.append(core)
-
-    cores = system.cores
-    hooks.on_invalidation(lambda node, block: cores[node].on_invalidation(block))
 
     # Flight recorder --------------------------------------------------
     # Attached last, in a fixed order, so track ids are deterministic
@@ -510,7 +508,6 @@ def _discard(msg: Message) -> None:
 def _wire_routers(system: System) -> None:
     """Register per-node dispatchers on the network(s)."""
     config = system.config
-    hooks = system.hooks
     directory = config.protocol is ProtocolKind.DIRECTORY
     checker = system.dvmc.coherence_checker
 
@@ -550,10 +547,17 @@ def _wire_routers(system: System) -> None:
         system.data_network.register(n, torus_handler)
 
         if not directory:
-
-            def addr_handler(msg: Message, n=n, cache_ctrl=cache_ctrl, mem_ctrl=mem_ctrl):
-                if hooks.sub_snoop_tick:
-                    hooks.snoop_tick(n)
+            # Snooping logical time counts the ordered requests each
+            # node has seen, so the tick comes before either controller
+            # handles the snoop.
+            def addr_handler(
+                msg: Message,
+                n=n,
+                cache_ctrl=cache_ctrl,
+                mem_ctrl=mem_ctrl,
+                tick=system.logical_time.tick,
+            ):
+                tick(n)
                 cache_ctrl.handle_snoop(msg)
                 mem_ctrl.handle_snoop(msg)
 

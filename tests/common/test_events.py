@@ -34,7 +34,8 @@ class _HeapScheduler:
     queue drains before ``until`` leaves ``now`` at the last event.
     ``halt()`` stops the run once the current cycle, late lane included,
     has finished; the flag is consumed even by a run that finds nothing
-    queued.  ``clear()`` drops every queued record.
+    queued.  ``clear()`` drops every queued record.  An ``until`` below
+    ``now`` leaves ``now`` unchanged.
     """
 
     def __init__(self):
@@ -84,7 +85,7 @@ class _HeapScheduler:
                 return
             time = heap[0][0]
             if until is not None and time > until:
-                self.now = until
+                self.now = max(self.now, until)
                 return
             while heap and heap[0][0] == time:
                 _time, _seq, callback, args = heapq.heappop(heap)
@@ -163,6 +164,17 @@ class TestRejections:
         with pytest.raises(SimulationError):
             s.post_late(-1, lambda: None)
         assert s.pending() == 0
+
+    def test_bound_below_now_keeps_the_past_closed(self):
+        """After ``run(until)`` with a bound below ``now``, a time
+        before the records that already ran is still in the past."""
+        s = Scheduler()
+        s.post(10, lambda: None)
+        s.post(20, lambda: None)
+        s.run(until=15)
+        s.run(until=5)
+        with pytest.raises(SimulationError):
+            s.post_at(7, lambda: None)
 
 
 class TestSurface:
@@ -307,6 +319,22 @@ class TestKernelEdges:
         s.run()
         assert seen == [2, 1, 0]
         assert s.events_processed == 4
+
+    def test_until_below_now_keeps_now(self, kernel):
+        """Time never runs backwards: a bound below ``now`` runs
+        nothing and leaves ``now`` where the last run left it, so a
+        record posted next still runs before the later one."""
+        s = kernel()
+        out = []
+        s.post(10, out.append, (10,))
+        s.post(20, out.append, (20,))
+        s.run(until=15)
+        s.run(until=5)
+        assert (s.now, out, s.pending()) == (15, [10], 1)
+        s.post(0, out.append, ("next",))
+        s.run()
+        assert out == [10, "next", 20]
+        assert s.now == 20
 
     def test_far_event_keeps_its_time_label(self, kernel):
         s = kernel()

@@ -19,7 +19,7 @@ class TestViolationLog:
 
     def test_callback_fires(self):
         seen = []
-        log = ViolationLog(callback=seen.append)
+        log = ViolationLog(on_report=seen.append)
         log(report())
         assert len(seen) == 1
 

@@ -15,7 +15,7 @@ class FakeController:
         self.memory = {}
         self.replay_reads = 0
 
-    def replay_load(self, addr, on_done):
+    def replay_load(self, addr, on_done, tid=0):
         self.replay_reads += 1
         on_done(self.memory.get(addr & ~3, 0))
 

@@ -52,9 +52,11 @@ def test_detection_before_checkpoint_expiry():
     def on_violation(report):
         if "cycle" not in outcome:
             outcome["cycle"] = report.cycle
-            outcome["recoverable"] = system.safetynet.can_recover(inject_cycle)
+            outcome["recoverable"] = system.safetynet.can_recover(
+                inject_cycle, at=report.cycle
+            )
 
-    system.dvmc.violations._callback = on_violation
+    system.dvmc.violations.on_report = on_violation
     system.run(max_cycles=2_000_000, allow_incomplete=True)
     assert "cycle" in outcome, "fault was never detected"
     assert outcome["recoverable"]

@@ -58,6 +58,18 @@ class TestRecoverability:
         # Oldest live checkpoint is ~t=800; an error at t=100 is lost.
         assert not sn.can_recover(error_cycle=100)
 
+    def test_recoverability_as_of_the_detection_cycle(self):
+        """A checker that reports late is judged at the cycle it
+        flagged, not at the cycle its report arrives."""
+        sched, sn = make_sn(interval=100, max_ckpts=2)
+        sched.post(250, lambda: None)
+        sched.run(until=250)  # the t=0 checkpoint retired at t=200
+        assert not sn.can_recover(error_cycle=50)
+        assert sn.can_recover(error_cycle=50, at=150)
+        assert not sn.can_recover(error_cycle=50, at=200)
+        assert not sn.can_recover(error_cycle=50, at=250)
+        assert sn.can_recover(error_cycle=120, at=150)
+
     def test_recovery_point_selection(self):
         sched, sn = make_sn(interval=100, max_ckpts=8)
         sched.post(450, lambda: None)
@@ -69,8 +81,8 @@ class TestRecoverability:
 class TestUndoLogging:
     def test_first_touch_logging(self):
         sched, sn = make_sn(interval=100)
-        sn._on_block_write(0, 0x1000, block(1))
-        sn._on_block_write(0, 0x1000, block(2))  # second touch: not logged
+        sn.log_write(0x1000, block(1))
+        sn.log_write(0x1000, block(2))  # second touch: not logged
         ckpt = sn._checkpoints[-1]
         assert ckpt.undo[0x1000] == block(1)
 
@@ -79,13 +91,13 @@ class TestUndoLogging:
         at the recovery point."""
         sched, sn = make_sn(interval=100, max_ckpts=8)
         # Interval 0: block written, old value 10.
-        sn._on_block_write(0, 0x1000, block(10))
+        sn.log_write(0x1000, block(10))
         sched.post(150, lambda: None)
         sched.run(until=150)  # now in interval 1
-        sn._on_block_write(0, 0x1000, block(20))
+        sn.log_write(0x1000, block(20))
         sched.post(100, lambda: None)
         sched.run(until=250)  # interval 2
-        sn._on_block_write(0, 0x1000, block(30))
+        sn.log_write(0x1000, block(30))
         current = {0x1000: block(40)}
         # Roll back to an error at cycle 120 (checkpoint at 100):
         image = sn.reconstruct_memory_image(current, error_cycle=120)

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from repro.common.errors import ConfigError, DeadlockError
-from repro.config import DVMCConfig, ProtocolKind, SystemConfig
+from repro.config import DVMCConfig, ProtocolKind, SafetyNetConfig, SystemConfig
 from repro.consistency.models import ConsistencyModel
 from repro.obs.spans import SpanRecorder
 from repro.processor.operations import Load, Store
@@ -29,6 +29,51 @@ class TestConstruction:
         system = bare_system(ProtocolKind.SNOOPING, num_nodes=4)
         assert system.address_network is not None
         assert system.cache_controllers[0].logical_time is system.logical_time
+
+    @pytest.mark.parametrize("protected", [False, True], ids=["unprotected", "protected"])
+    def test_snoop_tick_counts_every_ordered_request(self, protected):
+        """Snooping logical time counts the ordered requests a node has
+        seen, and every node sees every request: after a run, each
+        node's count is the address network's message count."""
+        factory = SystemConfig.protected if protected else SystemConfig.unprotected
+        config = factory(protocol=ProtocolKind.SNOOPING, num_nodes=4)
+        system = build_system(config, workload="oltp", ops=100)
+        system.run()
+        sent = system.address_network.messages_sent
+        assert sent > 0
+        assert [system.logical_time.now(n) for n in range(4)] == [sent] * 4
+
+    @pytest.mark.parametrize(
+        "dvmc, safetynet",
+        [
+            (DVMCConfig.disabled(), SafetyNetConfig.disabled()),
+            (DVMCConfig(), SafetyNetConfig()),
+            (DVMCConfig.disabled(), SafetyNetConfig()),
+            (DVMCConfig.coherence_only(), SafetyNetConfig.disabled()),
+        ],
+        ids=["unprotected", "protected", "sn-only", "cc-only"],
+    )
+    @pytest.mark.parametrize("protocol", list(ProtocolKind))
+    def test_controllers_hold_their_observers(self, protocol, dvmc, safetynet):
+        """Each controller calls the one observer of each event it
+        raises: the CC checker, SafetyNet, and its own core, whose link
+        the machine cuts when it is freed."""
+        config = SystemConfig(
+            num_nodes=2, protocol=protocol, dvmc=dvmc, safetynet=safetynet
+        )
+        system = build_system(config, programs=[idle_program(), idle_program()])
+        checker = system.dvmc.coherence_checker
+        assert (checker is not None) == dvmc.enable_coherence
+        assert (system.safetynet is not None) == safetynet.enabled
+        for n, (cache_ctrl, mem_ctrl) in enumerate(
+            zip(system.cache_controllers, system.memory_controllers)
+        ):
+            assert cache_ctrl.checker is checker
+            assert mem_ctrl.checker is checker
+            assert cache_ctrl.safetynet is system.safetynet
+            assert cache_ctrl.core is system.cores[n]
+        system._unlink()
+        assert [c.core for c in system.cache_controllers] == [None, None]
 
     def test_checkers_follow_config(self):
         system = bare_system(dvmc=True)
@@ -152,6 +197,22 @@ class TestRunLoop:
             system.run(max_cycles=20_000)
         assert drained == [20_000]
         assert system.phase_s == dict(zip(PHASES, (1, 3, 5, 7)))
+
+    def test_deadline_already_passed_keeps_time(self):
+        """``run(max_cycles=N)`` on a machine already past cycle N runs
+        nothing and leaves the clock where it was."""
+
+        def spin_forever():
+            while (yield Load(0x2_0000)) != 0xFFFF:
+                pass
+
+        config = SystemConfig.unprotected(num_nodes=1)
+        system = build_system(config, programs=[spin_forever()])
+        system.run(max_cycles=20_000, allow_incomplete=True)
+        events = system.scheduler.events_processed
+        result = system.run(max_cycles=5_000, allow_incomplete=True)
+        assert result.cycles == system.scheduler.now == 20_000
+        assert system.scheduler.events_processed == events
 
     def test_allow_incomplete(self):
         def spin_forever():
