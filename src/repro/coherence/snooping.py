@@ -6,10 +6,11 @@ position in the broadcast order is its serialization point: epochs for
 the coherence checker begin and end at serialization, with block data
 possibly arriving later (the CET's DataReadyBit case).
 
-Memory controllers snoop every request and track, exactly, which cache
-owns each of their home blocks (ownership changes only through GetM and
-PutM, which are never silent), so they know when memory must supply
-data.
+Each ordered request is one delivery: the snoop bus shows it to every
+cache and to the block's home memory controller, which tracks, exactly,
+which cache owns each of its home blocks (ownership changes only
+through GetM and PutM, which are never silent), so it knows when memory
+must supply data.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class SnoopingCacheController(BaseCacheController):
     def _broadcast(self, kind: Snoop, addr: int, tid: int = 0) -> None:
         msg = Message(
             src=self.node,
-            dst=-1,  # rewritten per delivery by the broadcast net
+            dst=-1,  # the broadcast net ignores it
             kind=kind,
             addr=addr,
             size_bytes=self.config.network.control_message_bytes,
@@ -344,7 +345,8 @@ class SnoopingCacheController(BaseCacheController):
 
 
 class SnoopingMemoryController:
-    """Memory side: snoops every request; supplies data when it owns."""
+    """Memory side: snoops its home blocks' requests; supplies data
+    when it owns."""
 
     def __init__(
         self,
@@ -354,7 +356,6 @@ class SnoopingMemoryController:
         config: SystemConfig,
         memory: MainMemory,
         data_net: Network,
-        home_of: Callable[[int], int],
     ):
         self.node = node
         self.scheduler = scheduler
@@ -362,7 +363,6 @@ class SnoopingMemoryController:
         self.config = config
         self.memory = memory
         self.data_net = data_net
-        self.home_of = home_of
         self._owner: Dict[int, Optional[int]] = {}
         self._pending_wb: Dict[int, int] = {}
         self._stat = f"snoopmem.{node}"
@@ -383,12 +383,11 @@ class SnoopingMemoryController:
         self._span_track = spans.track(f"snoopmem.{self.node}")
 
     def handle_snoop(self, msg: Message) -> None:
+        """A request for one of this node's home blocks."""
         self.scheduler.post(_CTRL_LATENCY, self._snoop, (msg,))
 
     def _snoop(self, msg: Message) -> None:
         block = block_of(msg.addr)
-        if self.home_of(block) != self.node:
-            return
         owner = self._owner.get(block)
         kind = msg.kind
         if kind is Snoop.GETS:

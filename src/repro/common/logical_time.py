@@ -3,9 +3,10 @@
 The checker needs a causality-respecting time base (paper Section 4.3,
 "Logical Time").  The paper picks, for ease of implementation:
 
-* **snooping**: each controller's count of coherence requests processed
-  so far (the ordered address network totally orders requests, so all
-  controllers observe the same sequence and counts agree causally);
+* **snooping**: the count of coherence requests ordered so far (the
+  ordered address network totally orders requests and shows each one to
+  every controller at once, so every controller's count is this one
+  count);
 * **directory**: a loosely synchronised physical clock distributed to
   every controller; causality holds as long as inter-controller skew is
   below the minimum communication latency.
@@ -31,28 +32,23 @@ class LogicalTimeBase(ABC):
     def now(self, node: int) -> int:
         """Full-width current logical time at ``node``."""
 
-    def tick(self, node: int) -> None:
-        """Advance node-local logical time, if the base is event counted."""
-
 
 class SnoopingLogicalTime(LogicalTimeBase):
-    """Counts coherence requests processed at each controller.
+    """Counts the coherence requests the address network has ordered.
 
-    Controllers call :meth:`tick` once per snooped request; because the
-    address network delivers requests in a total order, any two
-    controllers' counts for causally related events are consistent.
+    The snoop bus calls :meth:`tick` once per ordered request, before
+    any controller handles it.  Every controller sees every request at
+    the same delivery, so one count is every node's logical time.
     """
 
-    def __init__(self, num_nodes: int):
-        if num_nodes <= 0:
-            raise ConfigError("num_nodes must be positive")
-        self._counts = [0] * num_nodes
+    def __init__(self) -> None:
+        self._count = 0
 
     def now(self, node: int) -> int:
-        return self._counts[node]
+        return self._count
 
-    def tick(self, node: int) -> None:
-        self._counts[node] += 1
+    def tick(self) -> None:
+        self._count += 1
 
 
 class DirectoryLogicalTime(LogicalTimeBase):

@@ -1,7 +1,8 @@
 """Abstract network interface and fault hooks.
 
-Networks deliver :class:`~repro.interconnect.message.Message` objects to
-per-node handlers.  A single fault hook can be installed; the fault
+The torus delivers :class:`~repro.interconnect.message.Message` objects
+to per-node handlers; the ordered broadcast tree hands each request to
+its one snoop bus.  A single fault hook can be installed; the fault
 injector uses it to drop, duplicate, misroute, delay, or corrupt
 messages in flight (paper Section 6.1's injected network errors).
 """
@@ -80,10 +81,6 @@ class Network(ABC):
         freed)."""
         self._handlers.clear()
         self._fault_hook = None
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self._handlers)
 
     def _apply_fault_hook(self, message: Message) -> "list[Message]":
         """Run the hook; return the list of messages to actually route."""

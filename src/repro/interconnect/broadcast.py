@@ -6,7 +6,9 @@ links for coherence requests (Table 6).  The essential property is a
 controllers) observes all requests in the same sequence.  We model the
 tree as a root arbiter: requests serialise through the root and are
 then broadcast to every node; bandwidth is accounted on the up-link
-from the sender and the down-link to every receiver.
+from the sender and the down-link to every receiver.  Each ordered
+request is one delivery, of the message its sender built, to the
+network's snoop bus.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ from .message import Message
 class BroadcastTreeNetwork(Network):
     """Totally ordered broadcast network.
 
-    ``send`` broadcasts to **all** registered nodes; ``message.dst`` is
-    ignored on input and rewritten per delivery.  All controllers see
-    broadcasts in the same global order, which the snooping protocol
-    uses as its serialisation point and the coherence checker uses as
-    its logical time base.
+    ``send`` orders a request at the root and, once it has crossed the
+    down-links, hands the sender's message to :attr:`bus` (wired by
+    :func:`~repro.system.builder.build_system`); ``message.dst`` is
+    ignored and there are no per-node handlers.  The bus shows each
+    request to every controller at once, so all of them see requests
+    in the same global order, which the snooping protocol uses as its
+    serialisation point and the coherence checker as its logical time.
     """
 
     def __init__(
@@ -50,17 +54,16 @@ class BroadcastTreeNetwork(Network):
         self._ser_memo = {}
         #: Per-source up-link byte-counter handles, resolved on first use.
         self._up_handles = {}
-        #: (sorted nodes, their handlers, down-link handles), rebuilt
-        #: lazily after registration changes.
+        #: Down-link byte-counter handles, root -> node 0..N-1,
+        #: resolved on the first broadcast.
         self._fanout = None
-
-    def register(self, node, handler):
-        super().register(node, handler)
-        self._fanout = None
+        #: The one receiver of every ordered request (``None`` until
+        #: the machine is wired, and again once it is unlinked).
+        self.bus = None
 
     def unlink(self) -> None:
         super().unlink()
-        self._fanout = None
+        self.bus = None
 
     def send(self, message: Message) -> None:
         """Arbitrate at the root, then broadcast in total order."""
@@ -101,34 +104,24 @@ class BroadcastTreeNetwork(Network):
                     self.scheduler.now, deliver,
                     msg.addr, msg.src, order_index,
                 )
-            self._post_at(deliver, self._broadcast, (msg, order_index))
+            self._post_at(deliver, self._broadcast, (msg,))
 
-    def _broadcast(self, msg: Message, order_index: int) -> None:
-        # One scheduled event fans out to every node synchronously, so
-        # a broadcast is already a maximally batched delivery — there
-        # is nothing for ``deliver_at`` to coalesce (root serialisation
-        # keeps distinct broadcasts on distinct cycles).  Each node's
-        # single message goes straight to its plain handler.
+    def _broadcast(self, msg: Message) -> None:
+        # One scheduled event charges every down-link and makes one
+        # delivery: there is nothing for ``deliver_at`` to coalesce
+        # (root serialisation keeps distinct broadcasts on distinct
+        # cycles).
         fanout = self._fanout
         if fanout is None:
-            nodes = sorted(self._handlers)
             fanout = self._fanout = [
-                (
-                    node,
-                    self._handlers[node],
-                    self.stats.handle(f"net.{self.name}.link.root-{node}"),
-                )
-                for node in nodes
+                self.stats.handle(f"net.{self.name}.link.root-{node}")
+                for node in range(self._num_nodes)
             ]
         values = self._values
         size = msg.size_bytes
-        src = msg.src
-        for node, handler, hidx in fanout:
+        for hidx in fanout:
             values[hidx] += size
-            delivered = msg if node == src else self._clone_for(msg, node)
-            delivered.dst = node
-            delivered.order = order_index
-            handler(delivered)
+        self.bus(msg)
 
     def obs_snapshot(self) -> dict:
         """Broadcast-tree view: ordered-broadcast accounting."""
@@ -141,10 +134,3 @@ class BroadcastTreeNetwork(Network):
             }
         )
         return snap
-
-    @staticmethod
-    def _clone_for(msg: Message, node: int) -> Message:
-        clone = msg.copy_for_duplicate()
-        clone.uid = msg.uid  # same logical broadcast
-        clone.dst = node
-        return clone

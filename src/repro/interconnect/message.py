@@ -11,8 +11,7 @@ Protocol extras ride fixed int slots instead of a per-message dict —
 (data-coming / have-line bits), and the Inform-Epoch quartet ``etype``
 / ``t_begin`` / ``t_end`` / ``h_begin`` / ``h_end`` — all ``-1`` (or 0
 for ``flags``) when absent, mirroring the flat MET record layout in
-:mod:`repro.dvmc.coherence_checker`.  ``order`` carries a broadcast's
-position in the snooping address network's total order.
+:mod:`repro.dvmc.coherence_checker`.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ class Message:
         etype: epoch-type code on informs (0 RO, 1 RW, -1 none).
         t_begin/t_end: epoch begin/end logical timestamps (-1 absent).
         h_begin/h_end: epoch begin/end block hashes (-1 absent).
-        order: broadcast total-order index (-1 none).
         tid: flight-recorder trace id of the memory operation this
             message serves (0 = untraced; see :mod:`repro.obs.spans`).
     """
@@ -66,7 +64,6 @@ class Message:
         "t_end",
         "h_begin",
         "h_end",
-        "order",
         "tid",
     )
 
@@ -97,7 +94,6 @@ class Message:
         self.t_end = -1
         self.h_begin = -1
         self.h_end = -1
-        self.order = -1
         self.tid = 0
 
     def copy_for_duplicate(self) -> "Message":
@@ -118,7 +114,6 @@ class Message:
         clone.t_end = self.t_end
         clone.h_begin = self.h_begin
         clone.h_end = self.h_end
-        clone.order = self.order
         clone.tid = self.tid
         return clone
 

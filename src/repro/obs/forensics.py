@@ -69,6 +69,8 @@ _RE_ADDR = re.compile(r"0x[0-9a-fA-F]+")
 #: The oracle's performs-before edge endpoints: ``T3#13:store@0x20080``.
 _RE_ORACLE_OP = re.compile(r"T(\d+)#(\d+):(\w+)@(0x[0-9a-fA-F]+)")
 _RE_OP_CLASS = re.compile(r"\b(load|store|atomic|membar|stbar)\b")
+#: Op class name -> its index into :data:`OP_CLASS_NAMES`.
+_CLASS_OF = {name: code for code, name in enumerate(OP_CLASS_NAMES)}
 
 
 @dataclass
@@ -109,9 +111,7 @@ def parse_detail(detail: str) -> Optional[Anchor]:
             cycle=int(cycle.group(1)) if cycle else -1,
             seq=seq,
             addr=addr,
-            op_class=(
-                OP_CLASS_NAMES.index(kind) if kind in OP_CLASS_NAMES else -1
-            ),
+            op_class=_CLASS_OF.get(kind, -1),
             hints=oracle_ops[1:],
         )
     checker = _RE_CHECKER.search(detail)
@@ -332,9 +332,10 @@ def causal_slice(
                 continue
             if block_of(op[4]) == block and op[1] <= hi and op[2] >= lo:
                 related[tid] = op
-    # Oracle edge hints name the causally-related endpoints directly.
-    for node, seq, _, addr in anchor.hints:
-        tid = _find_op(recorder, node, addr, seq, -1)
+    # Oracle edge hints name the causally-related endpoints directly,
+    # each an op of its own class.
+    for node, seq, kind, addr in anchor.hints:
+        tid = _find_op(recorder, node, addr, seq, -1, _CLASS_OF.get(kind, -1))
         if tid and tid != anchor.tid and tid in ops:
             related.setdefault(tid, ops[tid])
     # Program-order neighbours on the violating node (the ops a fence

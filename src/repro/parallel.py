@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import atexit
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -136,7 +134,8 @@ def resolve_jobs(jobs: Optional[int] = None, default: int = 1) -> int:
 # Persistent worker pool
 # ---------------------------------------------------------------------------
 
-_pool: Optional[ProcessPoolExecutor] = None
+#: The shared ``ProcessPoolExecutor`` (``None`` until one is needed).
+_pool = None
 _pool_jobs = 0
 
 
@@ -150,9 +149,12 @@ def _warm_worker() -> None:
     import repro.system.builder  # noqa: F401
 
 
-def _get_pool(jobs: int) -> ProcessPoolExecutor:
+def _get_pool(jobs: int):
     """The shared worker pool, (re)created only when ``jobs`` changes."""
     global _pool, _pool_jobs
+    # Imported here: only a pool needs multiprocessing and what it loads.
+    from concurrent.futures import ProcessPoolExecutor
+
     if _pool is not None and _pool_jobs != jobs:
         _pool.shutdown(wait=False, cancel_futures=True)
         _pool = None
@@ -209,6 +211,8 @@ def run_points(
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(specs) <= 1:
         return [worker(spec) for spec in specs]
+
+    from concurrent.futures.process import BrokenProcessPool
 
     results: List[Optional[ResultT]] = [None] * len(specs)
     pool = _get_pool(jobs)

@@ -352,7 +352,7 @@ def build_system(
 
     # Logical time ---------------------------------------------------------
     if config.protocol is ProtocolKind.SNOOPING:
-        lt = SnoopingLogicalTime(num)
+        lt = SnoopingLogicalTime()
     else:
         min_latency = config.network.link_latency + config.network.serialization_cycles(
             config.network.control_message_bytes
@@ -382,7 +382,7 @@ def build_system(
             )
             mem_ctrl = SnoopingMemoryController(
                 n, sched, stats, config, system.memories[n],
-                system.data_network, home_of,
+                system.data_network,
             )
         if config.protocol is ProtocolKind.SNOOPING:
             cache_ctrl.logical_time = lt
@@ -506,7 +506,8 @@ def _discard(msg: Message) -> None:
 
 
 def _wire_routers(system: System) -> None:
-    """Register per-node dispatchers on the network(s)."""
+    """Register per-node dispatchers on the torus and, on a snooping
+    machine, the address network's snoop bus."""
     config = system.config
     directory = config.protocol is ProtocolKind.DIRECTORY
     checker = system.dvmc.coherence_checker
@@ -546,19 +547,23 @@ def _wire_routers(system: System) -> None:
 
         system.data_network.register(n, torus_handler)
 
-        if not directory:
-            # Snooping logical time counts the ordered requests each
-            # node has seen, so the tick comes before either controller
-            # handles the snoop.
-            def addr_handler(
-                msg: Message,
-                n=n,
-                cache_ctrl=cache_ctrl,
-                mem_ctrl=mem_ctrl,
-                tick=system.logical_time.tick,
-            ):
-                tick(n)
-                cache_ctrl.handle_snoop(msg)
-                mem_ctrl.handle_snoop(msg)
+    if not directory:
+        # The address network's one receiver.  Snooping logical time
+        # counts ordered requests, so the bus ticks it before any
+        # controller handles the request; it then shows the request to
+        # caches 0..N-1 in node order and to the home memory controller
+        # right after the home node's cache.
+        tick = system.logical_time.tick
+        home_of = system._home_of
+        caches = [ctrl.handle_snoop for ctrl in system.cache_controllers]
+        routes = [
+            caches[: home + 1] + [mem_ctrl.handle_snoop] + caches[home + 1 :]
+            for home, mem_ctrl in enumerate(system.memory_controllers)
+        ]
 
-            system.address_network.register(n, addr_handler)
+        def snoop_bus(msg: Message) -> None:
+            tick()
+            for snoop in routes[home_of(msg.addr)]:
+                snoop(msg)
+
+        system.address_network.bus = snoop_bus

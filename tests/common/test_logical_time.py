@@ -8,19 +8,15 @@ from repro.common.logical_time import DirectoryLogicalTime, SnoopingLogicalTime
 
 
 class TestSnoopingLogicalTime:
-    def test_counts_per_node(self):
-        lt = SnoopingLogicalTime(3)
+    def test_one_count_is_every_nodes_time(self):
+        """Every controller sees each ordered request at the same
+        delivery, so one count of ordered requests is every node's
+        logical time."""
+        lt = SnoopingLogicalTime()
         assert lt.now(0) == lt.now(1) == 0
-        lt.tick(0)
-        lt.tick(0)
-        lt.tick(1)
-        assert lt.now(0) == 2
-        assert lt.now(1) == 1
-        assert lt.now(2) == 0
-
-    def test_rejects_empty_system(self):
-        with pytest.raises(ConfigError):
-            SnoopingLogicalTime(0)
+        lt.tick()
+        lt.tick()
+        assert [lt.now(n) for n in range(3)] == [2, 2, 2]
 
 
 class TestDirectoryLogicalTime:

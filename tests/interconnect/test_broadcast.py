@@ -15,53 +15,41 @@ def make_net(num_nodes=4):
 
 
 class TestBroadcastDelivery:
-    def test_every_node_receives_including_sender(self):
+    def test_each_request_is_one_delivery_of_the_senders_message(self):
         sched, _, net = make_net(4)
-        got = {n: [] for n in range(4)}
-        for n in range(4):
-            net.register(n, lambda m, n=n: got[n].append(m.addr))
-        net.send(Message(src=1, dst=-1, kind="req", addr=0x40))
+        got = []
+        net.bus = got.append
+        sent = Message(src=1, dst=-1, kind="req", addr=0x40)
+        net.send(sent)
         sched.run()
-        assert all(got[n] == [0x40] for n in range(4))
+        assert len(got) == 1 and got[0] is sent
 
-    def test_total_order_is_identical_everywhere(self):
+    def test_bus_sees_requests_in_root_order(self):
         sched, _, net = make_net(4)
-        got = {n: [] for n in range(4)}
-        for n in range(4):
-            net.register(n, lambda m, n=n: got[n].append(m.order))
+        got = []
+        net.bus = lambda m: got.append((m.src, sched.now))
         # Two senders race; the root serialises them.
         net.send(Message(src=0, dst=-1, kind="req", addr=0x40))
         net.send(Message(src=3, dst=-1, kind="req", addr=0x80))
         sched.run()
-        orders = [tuple(got[n]) for n in range(4)]
-        assert len(set(orders)) == 1  # same order at every node
-        assert orders[0] == (0, 1)
-
-    def test_deliveries_are_simultaneous_across_nodes(self):
-        sched, _, net = make_net(4)
-        times = {}
-        for n in range(4):
-            net.register(n, lambda m, n=n: times.setdefault(n, sched.now))
-        net.send(Message(src=0, dst=-1, kind="req", addr=0))
-        sched.run()
-        assert len(set(times.values())) == 1
+        assert [src for src, _ in got] == [0, 3]
+        assert got[0][1] < got[1][1]
 
     def test_root_serialisation_spaces_broadcasts(self):
         sched, _, net = make_net(2)
         arrivals = []
-        net.register(0, lambda m: arrivals.append(sched.now))
-        net.register(1, lambda m: None)
+        net.bus = lambda m: arrivals.append(sched.now)
         for _ in range(3):
             net.send(Message(src=0, dst=-1, kind="req", size_bytes=8))
         sched.run()
+        assert len(arrivals) == 3
         gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
         ser = NetworkConfig().serialization_cycles(8)
         assert all(g >= ser for g in gaps)
 
     def test_bandwidth_counted_up_and_down(self):
         sched, stats, net = make_net(4)
-        for n in range(4):
-            net.register(n, lambda m: None)
+        net.bus = lambda m: None
         net.send(Message(src=2, dst=-1, kind="req", size_bytes=8))
         sched.run()
         assert stats.counter("net.a.link.2-root") == 8
@@ -70,9 +58,14 @@ class TestBroadcastDelivery:
 
     def test_order_count_increments(self):
         sched, _, net = make_net(2)
-        net.register(0, lambda m: None)
-        net.register(1, lambda m: None)
+        net.bus = lambda m: None
         assert net.order_count == 0
         net.send(Message(src=0, dst=-1, kind="req"))
         sched.run()
         assert net.order_count == 1
+
+    def test_unlink_cuts_the_bus(self):
+        _, _, net = make_net(2)
+        net.bus = lambda m: None
+        net.unlink()
+        assert net.bus is None

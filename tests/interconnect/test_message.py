@@ -25,7 +25,7 @@ class TestMessage:
         original.t_end = 20
         original.h_begin = 0xAB
         original.h_end = 0xCD
-        original.order = 7
+        original.tid = 5
         dup = original.copy_for_duplicate()
         for slot in (
             "req",
@@ -36,7 +36,7 @@ class TestMessage:
             "t_end",
             "h_begin",
             "h_end",
-            "order",
+            "tid",
         ):
             assert getattr(dup, slot) == getattr(original, slot)
 
@@ -51,4 +51,5 @@ class TestMessage:
         assert m.req == m.acks == -1
         assert m.flags == 0
         assert m.etype == m.t_begin == m.t_end == -1
-        assert m.h_begin == m.h_end == m.order == -1
+        assert m.h_begin == m.h_end == -1
+        assert m.tid == 0

@@ -6,10 +6,12 @@ hand-built recorder whose causal structure is known exactly, and
 against a real recorded replay of a committed fuzz reproducer.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.common.types import block_of
 from repro.config import SystemConfig
 from repro.consistency.models import ConsistencyModel
 from repro.fuzz import FuzzCase, case_programs, run_case_recorded
@@ -167,3 +169,26 @@ class TestRecordedReplay:
         assert "violating op : load@0x20000" in report
         assert "transaction timeline" in report
         assert "causally-related transactions" in report
+
+
+class TestOracleEdgeHints:
+    def test_hints_relate_ops_of_their_own_class_and_block(self):
+        """An oracle edge names its far endpoint by core, index, class
+        and address.  On the SC reproducer that index belongs to an
+        ``stbar``; the slice must relate the endpoint's store on the
+        block instead."""
+        with open("tests/corpus/repro-sc-707947-7b56de7e.json") as fh:
+            data = json.load(fh)
+        result, recorder = run_case_recorded(FuzzCase.from_json(data["case"]))
+        anchor = resolve_anchor(recorder, result.detail or data["detail"])
+        assert anchor.hints
+        sliced = causal_slice(recorder, anchor)
+        unhinted = causal_slice(recorder, dataclasses.replace(anchor, hints=[]))
+
+        def named(op):
+            return op[6], OP_CLASS_NAMES[op[3]], block_of(op[4])
+
+        hinted = {(node, kind, block_of(addr)) for node, _, kind, addr in anchor.hints}
+        assert hinted <= {named(op) for op in sliced.related.values()}
+        for tid in sliced.related.keys() - unhinted.related.keys():
+            assert named(sliced.related[tid]) in hinted

@@ -5,9 +5,14 @@ import itertools
 
 import pytest
 
+from repro.coherence.snooping import (
+    SnoopingCacheController,
+    SnoopingMemoryController,
+)
 from repro.common.errors import ConfigError, DeadlockError
 from repro.config import DVMCConfig, ProtocolKind, SafetyNetConfig, SystemConfig
 from repro.consistency.models import ConsistencyModel
+from repro.interconnect.broadcast import BroadcastTreeNetwork
 from repro.obs.spans import SpanRecorder
 from repro.processor.operations import Load, Store
 from repro.system import builder
@@ -42,6 +47,44 @@ class TestConstruction:
         sent = system.address_network.messages_sent
         assert sent > 0
         assert [system.logical_time.now(n) for n in range(4)] == [sent] * 4
+
+    def test_snoop_bus_shows_each_request_to_every_cache_and_its_home(
+        self, monkeypatch
+    ):
+        """Each ordered request is the one message its sender built: in
+        the cycle the broadcast tree delivers it, it reaches every
+        cache once, in node order, and only its home memory controller,
+        right after the home node's cache."""
+        sent, deliveries = [], []
+        real_send = BroadcastTreeNetwork.send
+
+        def send(net, msg):
+            sent.append(msg)
+            real_send(net, msg)
+
+        monkeypatch.setattr(BroadcastTreeNetwork, "send", send)
+        for cls, who in (
+            (SnoopingCacheController, "cache"),
+            (SnoopingMemoryController, "memory"),
+        ):
+
+            def handle_snoop(ctrl, msg, real=cls.handle_snoop, who=who):
+                deliveries.append((msg, who, ctrl.node, ctrl.scheduler.now))
+                real(ctrl, msg)
+
+            monkeypatch.setattr(cls, "handle_snoop", handle_snoop)
+        config = SystemConfig.protected(protocol=ProtocolKind.SNOOPING, num_nodes=4)
+        system = build_system(config, workload="oltp", ops=60)
+        system.run()
+        assert len(sent) == system.address_network.order_count > 0
+        assert len(deliveries) == 5 * len(sent)
+        for msg in sent:
+            got = [d for d in deliveries if d[0] is msg]
+            home = system.home_of(msg.addr)
+            expected = [("cache", n) for n in range(4)]
+            expected.insert(home + 1, ("memory", home))
+            assert [(who, node) for _, who, node, _ in got] == expected
+            assert len({cycle for *_, cycle in got}) == 1
 
     @pytest.mark.parametrize(
         "dvmc, safetynet",

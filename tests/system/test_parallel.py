@@ -1,10 +1,14 @@
 """Parallel run orchestrator: ordering, determinism, error surfacing."""
 
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.common.errors import ConfigError
 from repro.config import SystemConfig
 from repro.faults.campaign import run_campaign
@@ -59,6 +63,28 @@ class TestResolveJobs:
     def test_negative_rejected(self):
         with pytest.raises(ConfigError):
             resolve_jobs(-2)
+
+
+def test_importing_the_library_loads_no_process_pool():
+    """Only ``run_points`` with ``jobs > 1`` makes a pool, so a process
+    that imports the library, the fuzz rig, the fault campaign and the
+    experiment harness loads neither ``concurrent.futures`` nor
+    ``multiprocessing``."""
+    code = (
+        "import sys\n"
+        "import repro, repro.fuzz, repro.faults.campaign, repro.system.experiments\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 class TestRunPoints:
